@@ -25,7 +25,6 @@ from zobcd.blocks import (
     random_partition,
     reshuffle_if_due,
     restrict,
-    shared_directions_for_unequal_blocks,
 )
 from zobcd.estimator import EstimatorConfig, estimate_block_gradient, theoretical_radius
 from zobcd.optimizer import (

@@ -1,26 +1,23 @@
 """Reference zeroth-order competitors: FDSA, SPSA, and ZO-SCD.
 
-All three emit ConvergenceTrace records with the same schema as the block
-coordinate method, so traces plot on a common query axis. Gains are fixed
-(no decaying sequences), matching hand-tuned fixed-step comparisons.
+All three run in ``optimizer.drive`` and so emit the block coordinate method's
+trace schema, on a common query axis. Gains are fixed (no decaying
+sequences), matching hand-tuned fixed-step comparisons.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from zobcd.core import ConfigurationError, ConvergenceTrace, NumericalFailure, Oracle, RngStreams
-from zobcd.optimizer import RunResult, TERM_BUDGET, TERM_FAILURE, TERM_TARGET
-
-METHODS = ("fdsa", "spsa", "zoscd")
+from zobcd.core import ConfigurationError, NumericalFailure, Oracle, RngStreams
+from zobcd.optimizer import RunResult, drive
 
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    method: str  # "fdsa" | "spsa" | "zoscd"
+    method: str  # a key of BASELINES
     alpha: float
     delta: float
     budget: int
@@ -29,7 +26,7 @@ class BaselineConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in BASELINES:
             raise ConfigurationError(f"unknown baseline method: {self.method!r}")
         if self.alpha <= 0 or self.delta <= 0:
             raise ConfigurationError("alpha and delta must be > 0")
@@ -37,54 +34,25 @@ class BaselineConfig:
             raise ConfigurationError(f"query budget must be >= 1, got {self.budget}")
 
 
-def _loop(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f, one_iteration) -> RunResult:
-    x = x0.copy()
-    trace = ConvergenceTrace()
-    q0 = oracle.query_count
-    if report_f is not None:
-        trace.append(0, 0, report_f(x), 0)
-    termination = TERM_BUDGET
-    k = 0
-    while oracle.query_count - q0 < cfg.budget:
-        if cfg.max_iters is not None and k >= cfg.max_iters:
-            break
-        k += 1
-        t0 = time.perf_counter_ns()
-        en0 = oracle.eval_nanos
-        try:
-            x, noisy_f = one_iteration(x)
-        except NumericalFailure:
-            termination = TERM_FAILURE
-            break
-        nanos = (time.perf_counter_ns() - t0) - (oracle.eval_nanos - en0)
-        f_rep = report_f(x) if report_f is not None else noisy_f
-        trace.append(k, oracle.query_count - q0, f_rep, nanos)
-        if cfg.target is not None and f_rep <= cfg.target:
-            termination = TERM_TARGET
-            break
-    if len(trace) == 0:
-        trace.append(0, max(oracle.query_count - q0, 1), float("nan"), 0)
-    return RunResult(x_final=x, trace=trace, termination=termination)
-
-
 def run_fdsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
     """Kiefer-Wolfowitz finite differences: d + 1 queries per iteration."""
     d = x0.size
 
-    def one_iteration(x):
+    def iterate(x, k, remaining):
+        if remaining < d + 1:
+            return None
         base = oracle.eval(x)
         g = np.empty(d)
-        xw = x.copy()
-        for i in range(d):
-            xi = xw[i]
-            xw[i] = xi + cfg.delta
-            g[i] = (oracle.eval(xw) - base) / cfg.delta
-            xw[i] = xi
+        for i in range(d):  # probe coordinate i of x in place, then restore it
+            xi = x[i]
+            x[i] = xi + cfg.delta
+            g[i] = (oracle.eval(x) - base) / cfg.delta
+            x[i] = xi
         if not np.all(np.isfinite(g)):
             raise NumericalFailure("non-finite FDSA gradient estimate")
         return x - cfg.alpha * g, base
 
-    return _loop(oracle, x0, cfg, report_f, one_iteration)
+    return drive(oracle, x0, iterate, cfg, report_f)
 
 
 def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
@@ -97,7 +65,9 @@ def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
     d = x0.size
     rng = RngStreams(cfg.seed).substream("directions")
 
-    def one_iteration(x):
+    def iterate(x, k, remaining):
+        if remaining < 2:
+            return None
         z = (rng.integers(0, 2, size=d, dtype=np.int8) * 2 - 1).astype(np.float64)
         fp = oracle.eval(x + cfg.delta * z)
         fm = oracle.eval(x - cfg.delta * z)
@@ -106,7 +76,7 @@ def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
             raise NumericalFailure("non-finite SPSA directional derivative")
         return x - cfg.alpha * slope * z, 0.5 * (fp + fm)
 
-    return _loop(oracle, x0, cfg, report_f, one_iteration)
+    return drive(oracle, x0, iterate, cfg, report_f)
 
 
 def run_zoscd(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
@@ -114,21 +84,28 @@ def run_zoscd(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None
     d = x0.size
     rng = RngStreams(cfg.seed).substream("block_choice")
 
-    def one_iteration(x):
+    def iterate(x, k, remaining):
+        if remaining < 2:
+            return None
         i = int(rng.integers(d))
         base = oracle.eval(x)
-        xw = x.copy()
-        xw[i] += cfg.delta
-        gi = (oracle.eval(xw) - base) / cfg.delta
+        xi = x[i]
+        x[i] = xi + cfg.delta  # probe and step in place: O(1) work besides the queries
+        probe = oracle.eval(x)
+        x[i] = xi
+        gi = (probe - base) / cfg.delta
         if not np.isfinite(gi):
             raise NumericalFailure("non-finite coordinate derivative")
-        out = x.copy()
-        out[i] -= cfg.alpha * gi
-        return out, base
+        x[i] -= cfg.alpha * gi
+        return x, base
 
-    return _loop(oracle, x0, cfg, report_f, one_iteration)
+    return drive(oracle, x0, iterate, cfg, report_f)
+
+
+# The one list of baseline methods. Runners are looked up by name at call time,
+# so run_baseline honours a rebinding of run_fdsa etc. by a profiler or tracer.
+BASELINES = {"fdsa": "run_fdsa", "spsa": "run_spsa", "zoscd": "run_zoscd"}
 
 
 def run_baseline(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
-    runner = {"fdsa": run_fdsa, "spsa": run_spsa, "zoscd": run_zoscd}[cfg.method]
-    return runner(oracle, x0, cfg, report_f)
+    return globals()[BASELINES[cfg.method]](oracle, x0, cfg, report_f)

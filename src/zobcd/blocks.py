@@ -93,24 +93,3 @@ def reshuffle_if_due(
         return p
     return random_partition(p.d, p.J, rng)
 
-
-def shared_directions_for_unequal_blocks(
-    z_master: np.ndarray,
-    j: int,
-    p: BlockPartition,
-    m_j: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Sample directions for an unequal block: subselect rows, truncate columns.
-
-    A prefix of a Rademacher vector is Rademacher, so the truncated rows keep
-    the statistical properties the recovery guarantee needs.
-    """
-    d_j = int(p.block_sizes[j])
-    m_max, d_max = z_master.shape
-    if d_j > d_max:
-        raise ConfigurationError(f"block size {d_j} exceeds master direction length {d_max}")
-    if m_j > m_max:
-        raise ConfigurationError(f"requested {m_j} directions but only {m_max} exist")
-    sel = rng.choice(m_max, size=m_j, replace=False)
-    return z_master[sel, :d_j]

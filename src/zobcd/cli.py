@@ -41,6 +41,8 @@ def _cmd_run(args) -> int:
     spec = ExperimentSpec.from_file(args.config)
     seed = args.seed if args.seed is not None else os.environ.get("ZOBCD_SEED")
     if seed is not None:
+        if not str(seed).removeprefix("-").isdigit():
+            raise ConfigurationError(f"ZOBCD_SEED must be an integer, got {seed!r}")
         spec.seed = int(seed)
     if args.format is not None:
         spec.format = args.format

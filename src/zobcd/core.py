@@ -5,7 +5,8 @@ Vectors are plain 1-D numpy float64 arrays throughout the package.
 
 from __future__ import annotations
 
-import threading
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -47,10 +48,6 @@ class RngStreams:
         return self._seed_seq(name).generate_state(2, np.uint64)
 
 
-def substream(streams: RngStreams, name: str) -> np.random.Generator:
-    return streams.substream(name)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Additive oracle noise: none, bounded (|xi| <= sigma), or Gaussian.
@@ -67,8 +64,8 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "bounded", "gaussian"):
             raise ConfigurationError(f"unknown noise kind: {self.kind!r}")
-        if self.level < 0:
-            raise ConfigurationError(f"noise level must be >= 0, got {self.level}")
+        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Real) or not 0 <= self.level < math.inf:
+            raise ConfigurationError(f"noise level must be a finite number >= 0, got {self.level!r}")
 
     @classmethod
     def none(cls) -> "NoiseModel":
@@ -97,7 +94,6 @@ class Oracle:
         self._f = f
         self._noise = noise
         self._key = streams.counter_key("noise")
-        self._lock = threading.Lock()
         self._count = 0
         self._eval_nanos = 0
 
@@ -120,9 +116,8 @@ class Oracle:
 
     def eval(self, x: np.ndarray) -> float:
         t0 = time.perf_counter_ns()
-        with self._lock:
-            idx = self._count
-            self._count += 1
+        idx = self._count
+        self._count += 1
         value = float(self._f(x)) + self._noise_draw(idx)
         self._eval_nanos += time.perf_counter_ns() - t0
         return value

@@ -14,6 +14,7 @@ import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure, Oracle
 from zobcd.blocks import BlockPartition
+from zobcd.sampling import MeasurementOperator
 from zobcd.sparse_recovery import CosampConfig, SparseVector, cosamp
 
 
@@ -22,7 +23,7 @@ class EstimatorConfig:
     delta: float
     s_block: int
     cosamp: CosampConfig
-    ensemble: object  # SampleEnsemble with n == block size
+    ensemble: MeasurementOperator  # n == block size
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -39,9 +40,8 @@ def estimate_block_gradient(
     p: BlockPartition,
     j: int,
     cfg: EstimatorConfig,
-    return_base: bool = False,
-) -> SparseVector | tuple[SparseVector, float]:
-    """Estimate the block-j gradient of the oracle's objective at x."""
+) -> tuple[SparseVector, float]:
+    """Estimate the block-j gradient at x; returns it and the noisy base value f(x)."""
     idx = p.block_indices(j)
     Z = cfg.ensemble
     if Z.n != idx.size:
@@ -67,7 +67,7 @@ def estimate_block_gradient(
         xw[idx] = save
 
     g_hat = cosamp(Z, y, cfg.cosamp)
-    return (g_hat, base) if return_base else g_hat
+    return g_hat, base
 
 
 def theoretical_radius(sigma: float, H: float | None = None, fallback: float = 1e-2) -> float:

@@ -10,18 +10,39 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from zobcd.core import ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, make_noisy_oracle
-from zobcd.baselines import BaselineConfig, run_baseline
+from zobcd.baselines import BASELINES, BaselineConfig, run_baseline
 from zobcd.objectives import OBJECTIVES, make_objective
 from zobcd.optimizer import RunResult, ZobcdConfig, run_zobcd
 
-METHOD_NAMES = ("zobcd-r", "zobcd-rc", "fdsa", "spsa", "zoscd")
+METHOD_NAMES = ("zobcd-r", "zobcd-rc", *BASELINES)
 TRACE_COLUMNS = ("iteration", "cumulative_queries", "f_value", "compute_nanos")
+
+
+def _check_number(name: str, value, integral: bool = False):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ConfigurationError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+
+
+def _check_fields(where: str, doc: dict, fields: dict):
+    """doc's keys must name dataclass fields and cover those without defaults;
+    values of int- and float-typed fields must be numbers of that kind."""
+    unknown = set(doc) - set(fields)
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)} (accepted: {sorted(fields)})")
+    missing = {k for k, f in fields.items() if f.default is MISSING and f.default_factory is MISSING}
+    if missing - set(doc):
+        raise ConfigurationError(f"{where} is missing required keys: {sorted(missing - set(doc))}")
+    for key, value in doc.items():
+        kind = fields[key].type  # a string: "int", "float | None", "dict", ...
+        if kind.startswith(("int", "float")) and not (value is None and kind.endswith("None")):
+            _check_number(f"{where}.{key}", value, integral=kind.startswith("int"))
 
 
 @dataclass
@@ -39,28 +60,37 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.method not in METHOD_NAMES:
             raise ConfigurationError(f"unknown method {self.method!r} (choose from {METHOD_NAMES})")
+        for key, allowed in (("objective", {"name", "d", "s", "coeff"}), ("noise", {"kind", "level"})):
+            doc = getattr(self, key)
+            if not isinstance(doc, dict) or set(doc) - allowed:
+                raise ConfigurationError(f"{key} must be an object with keys among {sorted(allowed)}")
         name = self.objective.get("name")
         if name not in OBJECTIVES:
             raise ConfigurationError(f"unknown objective {name!r} (choose from {OBJECTIVES})")
+        for key in ("d", "s"):
+            _check_number(f"objective.{key}", self.objective.get(key), integral=True)
+        if not 1 <= self.objective["s"] <= self.objective["d"]:
+            raise ConfigurationError(f"objective needs 1 <= s <= d, got {self.objective}")
+        _check_number("objective.coeff", self.objective.get("coeff", 1.0))
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
         if self.format not in ("csv", "json"):
             raise ConfigurationError(f"format must be 'csv' or 'json', got {self.format!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigurationError("params must be an object")
+        config = BaselineConfig if self.method in BASELINES else ZobcdConfig
+        supplied = {"method", "variant", "d", "s", "seed"}  # set by run_single, not by params
+        _check_fields("params", self.params, {k: f for k, f in config.__dataclass_fields__.items() if k not in supplied})
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentSpec":
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            doc = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigurationError(f"cannot read experiment spec {path}: {exc}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigurationError(f"unknown spec keys: {sorted(unknown)}")
-        missing = {"objective", "method", "params"} - set(doc)
-        if missing:
-            raise ConfigurationError(f"spec is missing required keys: {sorted(missing)}")
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"experiment spec {path} must be a JSON object")
+        _check_fields("spec", doc, cls.__dataclass_fields__)
         return cls(**doc)
 
 
@@ -68,30 +98,18 @@ def run_single(spec: ExperimentSpec, run_seed: int) -> RunResult:
     """One seeded run of the spec's method on a fresh objective instance."""
     streams = RngStreams(run_seed)
     obj_rng = streams.substream("objective")
-    obj = make_objective(
-        spec.objective["name"],
-        int(spec.objective["d"]),
-        int(spec.objective["s"]),
-        obj_rng,
-        coeff=float(spec.objective.get("coeff", 1.0)),
-    )
+    o = spec.objective
+    obj = make_objective(o["name"], int(o["d"]), int(o["s"]), obj_rng, coeff=float(o.get("coeff", 1.0)))
     x0 = spec.x0_scale * obj_rng.standard_normal(obj.d)
-    noise = NoiseModel(spec.noise.get("kind", "none"), float(spec.noise.get("level", 0.0)))
+    noise = NoiseModel(spec.noise.get("kind", "none"), spec.noise.get("level", 0.0))
     oracle = make_noisy_oracle(obj.eval, noise, streams)
 
-    p = dict(spec.params)
-    if spec.method in ("zobcd-r", "zobcd-rc"):
-        cfg = ZobcdConfig(
-            variant="R" if spec.method == "zobcd-r" else "RC",
-            d=obj.d,
-            s=int(spec.objective["s"]),
-            seed=run_seed,
-            **p,
-        )
-        return run_zobcd(oracle, x0, cfg, report_f=obj.eval)
-    p.pop("target_queries", None)
-    cfg = BaselineConfig(method=spec.method, seed=run_seed, **p)
-    return run_baseline(oracle, x0, cfg, report_f=obj.eval)
+    if spec.method in BASELINES:
+        cfg = BaselineConfig(method=spec.method, seed=run_seed, **spec.params)
+        return run_baseline(oracle, x0, cfg, report_f=obj.eval)
+    variant = "R" if spec.method == "zobcd-r" else "RC"
+    cfg = ZobcdConfig(variant=variant, d=obj.d, s=spec.objective["s"], seed=run_seed, **spec.params)
+    return run_zobcd(oracle, x0, cfg, report_f=obj.eval)
 
 
 def _write_trace(trace: ConvergenceTrace, path: Path, fmt: str, record_timing: bool):
@@ -109,18 +127,26 @@ def _write_trace(trace: ConvergenceTrace, path: Path, fmt: str, record_timing: b
 
 
 def read_trace(path: str | Path) -> ConvergenceTrace:
+    """Load a trace file; a malformed row is a ConfigurationError naming where it is."""
     path = Path(path)
-    trace = ConvergenceTrace()
     if path.suffix == ".json":
-        for row in json.loads(path.read_text()):
-            trace.append(*(row[c] for c in TRACE_COLUMNS))
-        return trace
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-        raise ConfigurationError(f"{path} is not a trace file")
-    for line in lines[1:]:
-        it, q, f, ns = line.split(",")
-        trace.append(int(it), int(q), float(f), int(ns))
+        try:
+            rows = [[row[c] for c in TRACE_COLUMNS] for row in json.loads(path.read_text())]
+        except (ValueError, TypeError, KeyError) as exc:
+            raise ConfigurationError(f"{path} is not a trace file ({exc})") from exc
+        numbered = [(f"record {r}", row) for r, row in enumerate(rows)]
+    else:
+        lines = path.read_text().splitlines()
+        if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+            raise ConfigurationError(f"{path} is not a trace file")
+        numbered = [(f"line {n}", line.split(",")) for n, line in enumerate(lines[1:], start=2)]
+    trace = ConvergenceTrace()
+    for where, row in numbered:
+        try:
+            it, q, f, ns = row
+            trace.append(int(it), int(q), float(f), int(ns))
+        except (ValueError, TypeError) as exc:
+            raise ConfigurationError(f"{path} {where}: malformed trace row ({exc})") from exc
     return trace
 
 

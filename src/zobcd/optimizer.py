@@ -1,4 +1,4 @@
-"""ZO-BCD main loop: randomized block selection, sparse gradient steps, traces.
+"""ZO-BCD and the run driver every method shares: budget, target, traces.
 
 Two variants: "R" (dense Rademacher sample directions) and "RC" (rows of a
 random partial circulant). The J=1 configuration recovers the full-gradient
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,8 +50,10 @@ class ZobcdConfig:
             raise ConfigurationError(f"need 1 <= J <= d, got J={self.J}, d={self.d}")
         if self.s < 1:
             raise ConfigurationError(f"need s >= 1, got {self.s}")
-        if self.alpha <= 0:
-            raise ConfigurationError(f"step size must be > 0, got {self.alpha}")
+        if self.alpha <= 0 or self.delta <= 0:
+            raise ConfigurationError(f"need step size alpha and query radius delta > 0, got {self.alpha}, {self.delta}")
+        if self.reshuffle_period is not None and self.reshuffle_period < 1:
+            raise ConfigurationError(f"reshuffle period must be >= 1, got {self.reshuffle_period}")
         if self.budget < 1:
             raise ConfigurationError(f"query budget must be >= 1, got {self.budget}")
 
@@ -91,6 +93,49 @@ def admissibility_margin(
     return 4.0 * rho ** (4 * n) + 16.0 * tau**2 * sigma * H / (c1 * L_max)
 
 
+def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> RunResult:
+    """The run loop of every method: budget, max_iters, target, trace, failures.
+
+    ``limits`` is the method's config (``budget``, ``max_iters``, ``target``).
+    ``iterate(x, k, remaining)`` runs iteration k and returns ``(x_next,
+    noisy_f)``, or None if its whole cost exceeds the ``remaining`` queries:
+    the budget is a hard cap, so an iteration that cannot finish is never started.
+
+    ``report_f``, when given, is a noiseless evaluation channel for the trace
+    and the target check, not counted as a query. Without it the trace reports
+    each iteration's noisy base query, which lags the iterate by one step.
+    """
+    x = x0.copy()
+    trace = ConvergenceTrace()
+    q0 = oracle.query_count
+    if report_f is not None:
+        trace.append(0, 0, report_f(x), 0)
+    termination = TERM_BUDGET
+    k = 0
+    while limits.max_iters is None or k < limits.max_iters:
+        t0 = time.perf_counter_ns()
+        en0 = oracle.eval_nanos
+        try:
+            out = iterate(x, k + 1, limits.budget - (oracle.query_count - q0))
+        except NumericalFailure:
+            termination = TERM_FAILURE
+            break
+        if out is None:
+            break
+        k += 1
+        x, noisy_f = out
+        nanos = (time.perf_counter_ns() - t0) - (oracle.eval_nanos - en0)
+        f_rep = report_f(x) if report_f is not None else noisy_f
+        trace.append(k, oracle.query_count - q0, f_rep, nanos)
+        if limits.target is not None and f_rep <= limits.target:
+            termination = TERM_TARGET
+            break
+    if len(trace) == 0:
+        # no reporting channel and no iteration completed
+        trace.append(0, oracle.query_count - q0, float("nan"), 0)
+    return RunResult(x_final=x, trace=trace, termination=termination)
+
+
 def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_block: int, omega_rng):
     """One measurement operator per distinct block size (equal blocks share one)."""
     dir_rng = streams.substream("directions")
@@ -100,12 +145,14 @@ def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_
             raise ConfigurationError("ZO-BCD-RC requires d divisible by J (equal blocks)")
         n = sizes[0]
         m = cfg.m_override or required_rows("circulant", s_block, n, b3=cfg.b3)
+        if m > n:
+            raise ConfigurationError(f"ZO-BCD-RC needs m <= block size, got m={m} > n={n}")
         z = (dir_rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.float64)
         omega = omega_rng.choice(n, size=m, replace=False)
         return {n: PartialCirculantEnsemble(z, omega)}
     # Dense Rademacher: draw one master block of directions at the largest
-    # block size; smaller blocks use column-truncated views (prefixes of
-    # Rademacher rows are Rademacher).
+    # block size; smaller blocks use row- and column-truncated views of it
+    # (prefixes of Rademacher rows are Rademacher).
     n_max = sizes[0]
     m_max = cfg.m_override or required_rows("rademacher", s_block, n_max, b1=cfg.b1)
     master = make_rademacher(m_max, n_max, dir_rng)
@@ -119,10 +166,9 @@ def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_
 def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -> RunResult:
     """Run ZO-BCD from x0 until the query budget, the target, or a failure.
 
-    ``report_f``, when given, is a noiseless evaluation channel used only
-    for trace reporting and target checks; it is not counted as a query.
-    Without it the trace reports each iteration's noisy base query, which
-    lags the iterate by one step.
+    Each iteration draws a block j, spends m_j + 1 queries estimating its
+    gradient, steps on it, and reshuffles the partition when due. See
+    ``drive`` for ``report_f`` and the budget contract.
     """
     if x0.shape != (cfg.d,):
         raise ConfigurationError(f"x0 has dim {x0.shape}, config says d={cfg.d}")
@@ -133,48 +179,23 @@ def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -
     p = random_partition(cfg.d, cfg.J, part_rng)
     s_block = max(1, math.ceil(cfg.block_sparsity_factor * cfg.s / cfg.J))
     omega_rng = streams.substream("omega")
-    ensembles = _make_ensembles(cfg, p, streams, s_block, omega_rng)
     cosamp_cfg = CosampConfig(s=s_block, n_iters=cfg.n_cosamp)
+    ensembles = _make_ensembles(cfg, p, streams, s_block, omega_rng)
+    est_cfgs = {n: EstimatorConfig(cfg.delta, s_block, cosamp_cfg, Z) for n, Z in ensembles.items()}
 
-    x = x0.copy()
-    trace = ConvergenceTrace()
-    q0 = oracle.query_count
-    if report_f is not None:
-        trace.append(0, 0, report_f(x), 0)
-
-    termination = TERM_BUDGET
-    k = 0
-    while oracle.query_count - q0 < cfg.budget:
-        if cfg.max_iters is not None and k >= cfg.max_iters:
-            break
-        k += 1
-        t0 = time.perf_counter_ns()
-        en0 = oracle.eval_nanos
+    def iterate(x, k, remaining):
+        nonlocal p, est_cfgs
         j = int(choice_rng.integers(cfg.J))
-        idx_size = int(p.block_sizes[j])
-        est_cfg = EstimatorConfig(
-            delta=cfg.delta, s_block=s_block, cosamp=cosamp_cfg, ensemble=ensembles[idx_size]
-        )
-        try:
-            g_hat, base = estimate_block_gradient(oracle, x, p, j, est_cfg, return_base=True)
-        except NumericalFailure:
-            termination = TERM_FAILURE
-            break
+        est_cfg = est_cfgs[int(p.block_sizes[j])]
+        if remaining < est_cfg.ensemble.m + 1:
+            return None
+        g_hat, base = estimate_block_gradient(oracle, x, p, j, est_cfg)
         x = step(x, g_hat, cfg.alpha, p, j)
         new_p = reshuffle_if_due(p, k, cfg.reshuffle_period, part_rng)
-        if new_p is not p:
-            p = new_p
-            if cfg.variant == "RC":
-                n = next(iter(ensembles))
-                ensembles = {n: ensembles[n].with_new_omega(omega_rng)}
-        nanos = (time.perf_counter_ns() - t0) - (oracle.eval_nanos - en0)
-        f_rep = report_f(x) if report_f is not None else base
-        trace.append(k, oracle.query_count - q0, f_rep, nanos)
-        if cfg.target is not None and f_rep <= cfg.target:
-            termination = TERM_TARGET
-            break
+        if new_p is not p and cfg.variant == "RC":  # fresh circulant rows for the new blocks
+            ((n, c),) = est_cfgs.items()
+            est_cfgs = {n: replace(c, ensemble=c.ensemble.with_new_omega(omega_rng))}
+        p = new_p
+        return x, base
 
-    if len(trace) == 0:
-        # no reporting channel and the budget forbade even one iteration
-        trace.append(0, max(oracle.query_count - q0, 1), float("nan"), 0)
-    return RunResult(x_final=x, trace=trace, termination=termination)
+    return drive(oracle, x0, iterate, cfg, report_f)

@@ -1,17 +1,13 @@
 """Measurement operators: dense Rademacher rows and partial circulant ensembles.
 
-Both variants expose the same interface: ``apply`` (forward product with the
-1/sqrt(m)-scaled operator), ``adjoint`` (transpose product), ``row`` (an
-unscaled +-1 sample direction), and ``columns`` (a scaled column gather used
-by the restricted least-squares step of sparse recovery).
-
-The +-1 scaling convention: stored data is exactly +-1; the 1/sqrt(m) factor
-is applied lazily at apply/adjoint/columns time.
+Both implement ``MeasurementOperator``. Stored data is exactly +-1; the
+1/sqrt(m) factor is applied lazily at apply/adjoint/columns time.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Protocol
 
 import numpy as np
 
@@ -20,6 +16,18 @@ from zobcd.core import ConfigurationError
 # Below this length the cyclic correlation is done directly; FFT overhead
 # dominates at tiny n.
 _FFT_MIN_N = 64
+
+
+class MeasurementOperator(Protocol):
+    """An m x n ensemble, as sparse recovery and the gradient estimator use it."""
+
+    m: int
+    n: int
+
+    def row(self, i: int) -> np.ndarray: ...  # unscaled +-1 sample direction
+    def apply(self, v: np.ndarray) -> np.ndarray: ...  # scaled forward product
+    def adjoint(self, y: np.ndarray) -> np.ndarray: ...  # scaled transpose product
+    def columns(self, idx: np.ndarray) -> np.ndarray: ...  # scaled column gather
 
 
 class RademacherEnsemble:
@@ -104,9 +112,6 @@ class PartialCirculantEnsemble:
         return PartialCirculantEnsemble(self.z, omega)
 
 
-SampleEnsemble = RademacherEnsemble | PartialCirculantEnsemble
-
-
 def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsemble:
     if m <= 0 or n <= 0:
         raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
@@ -122,14 +127,6 @@ def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialC
     z = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.float64)
     omega = rng.choice(n, size=m, replace=False)
     return PartialCirculantEnsemble(z, omega)
-
-
-def apply(Z: SampleEnsemble, v: np.ndarray) -> np.ndarray:
-    return Z.apply(v)
-
-
-def adjoint(Z: SampleEnsemble, y: np.ndarray) -> np.ndarray:
-    return Z.adjoint(y)
 
 
 def required_rows(variant: str, s: int, n: int, b1: float = 2.0, b3: float = 1.0) -> int:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure
+from zobcd.sampling import MeasurementOperator
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,7 @@ def _cg_normal_equations(A: np.ndarray, y: np.ndarray, max_iters: int, tol: floa
     return w
 
 
-def restricted_lsq(Z, y: np.ndarray, support: np.ndarray, max_iters: int = 20, tol: float = 1e-8) -> np.ndarray:
+def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray, max_iters: int = 20, tol: float = 1e-8) -> np.ndarray:
     """Least-squares fit of y on the columns of Z selected by support."""
     support = np.asarray(support, dtype=np.intp)
     if support.size == 0:
@@ -134,7 +135,7 @@ def restricted_lsq(Z, y: np.ndarray, support: np.ndarray, max_iters: int = 20, t
     return _cg_normal_equations(A, y, max_iters, tol)
 
 
-def cosamp(Z, y: np.ndarray, cfg: CosampConfig, on_iterate=None) -> SparseVector:
+def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=None) -> SparseVector:
     """CoSaMP recovery of an s-sparse solution to Z v ~= y.
 
     ``on_iterate(k, estimate, residual_norm)``, when given, observes every

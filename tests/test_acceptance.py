@@ -199,7 +199,7 @@ def test_06_gradient_estimate_error_bound():
             oracle = make_noisy_oracle(q.eval, NoiseModel.bounded(sigma), streams)
             x = gen.standard_normal(d)
             j = int(gen.integers(J))
-            g_hat = estimate_block_gradient(oracle, x, p, j, cfg)
+            g_hat, _ = estimate_block_gradient(oracle, x, p, j, cfg)
             g_true = q.grad(x).to_dense()[p.block_indices(j)]
             err = np.linalg.norm(g_hat.to_dense() - g_true)
             if err <= 0.6**n_cosamp * np.linalg.norm(g_true) + bound_tail:

@@ -43,6 +43,15 @@ class TestFdsa:
         run_fdsa(oracle, x0, cfg, report_f=q.eval)
         assert oracle.query_count == 3 * 41
 
+    def test_budget_below_one_iteration_spends_nothing(self):
+        # d + 1 = 401 queries do not fit a budget of 10, so no iteration starts
+        q, x0 = make_quadric(400, 4)
+        oracle = noiseless_oracle(q.eval)
+        cfg = BaselineConfig(method="fdsa", alpha=0.9, delta=1e-5, budget=10)
+        res = run_fdsa(oracle, x0, cfg, report_f=q.eval)
+        assert oracle.query_count == 0
+        assert [r.iteration for r in res.trace.records] == [0]
+
     def test_converges_on_quadric(self):
         q, x0 = make_quadric(100, 10)
         oracle = noiseless_oracle(q.eval)

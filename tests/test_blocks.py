@@ -9,7 +9,6 @@ from zobcd.blocks import (
     random_partition,
     reshuffle_if_due,
     restrict,
-    shared_directions_for_unequal_blocks,
 )
 from zobcd.sparse_recovery import SparseVector
 
@@ -145,27 +144,3 @@ class TestReshuffle:
                 changed += 1
         assert changed == 100
 
-
-class TestSharedDirections:
-    def test_equal_blocks_truncation_is_identity(self):
-        gen = rng(7)
-        p = random_partition(12, 3, gen)
-        master = (gen.integers(0, 2, size=(10, 4)) * 2 - 1).astype(float)
-        out = shared_directions_for_unequal_blocks(master, 0, p, 10, gen)
-        assert out.shape == (10, 4)
-        assert np.all(np.isin(out, (-1.0, 1.0)))
-
-    def test_truncated_rows_stay_rademacher(self):
-        gen = rng(8)
-        p = random_partition(11, 3, gen)  # sizes 4, 4, 3
-        master = (gen.integers(0, 2, size=(20, 4)) * 2 - 1).astype(float)
-        out = shared_directions_for_unequal_blocks(master, 2, p, 6, gen)
-        assert out.shape == (6, 3)
-        assert np.all(np.isin(out, (-1.0, 1.0)))
-
-    def test_block_larger_than_master_rejected(self):
-        gen = rng(9)
-        p = random_partition(40, 2, gen)
-        master = np.ones((5, 10))
-        with pytest.raises(ConfigurationError):
-            shared_directions_for_unequal_blocks(master, 0, p, 5, gen)

@@ -7,7 +7,6 @@ from zobcd.core import (
     NoiseModel,
     RngStreams,
     make_noisy_oracle,
-    substream,
 )
 
 
@@ -54,11 +53,19 @@ def test_negative_noise_level_rejected():
         NoiseModel.bounded(-0.1)
 
 
+@pytest.mark.parametrize("level", [float("nan"), float("inf"), "1e-6", True])
+def test_non_finite_or_non_numeric_noise_level_rejected(level):
+    with pytest.raises(ConfigurationError):
+        NoiseModel("gaussian", level)
+
+
 def test_substream_deterministic():
+    # every call returns a fresh generator replaying the stream from its start
     streams = RngStreams(42)
-    a = substream(streams, "partition").standard_normal(100)
-    b = substream(streams, "partition").standard_normal(100)
-    assert np.array_equal(a, b)
+    a = streams.substream("partition").standard_normal(100)
+    b = streams.substream("partition").standard_normal(100)
+    c = RngStreams(42).substream("partition").standard_normal(100)
+    assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_substreams_differ_across_names_and_seeds():

@@ -29,7 +29,7 @@ class TestEstimateBlockGradient:
         c[gen.choice(block0, size=s, replace=False)] = gen.standard_normal(s) + 1.0
         oracle = make_noisy_oracle(lambda x: float(c @ x), NoiseModel.none(), streams)
         x = gen.standard_normal(d)
-        g_hat = estimate_block_gradient(oracle, x, p, 0, cfg)
+        g_hat, _ = estimate_block_gradient(oracle, x, p, 0, cfg)
         np.testing.assert_allclose(g_hat.to_dense(), c[block0], atol=1e-8)
 
     def test_sparse_quadric_relative_accuracy(self):
@@ -47,7 +47,7 @@ class TestEstimateBlockGradient:
         oracle = make_noisy_oracle(q.eval, NoiseModel.none(), streams)
         x = gen.uniform(-1.0, 1.0, size=d)
         x[support] = np.sign(x[support])
-        g_hat = estimate_block_gradient(oracle, x, p, 0, cfg)
+        g_hat, _ = estimate_block_gradient(oracle, x, p, 0, cfg)
         g_true = q.grad(x).to_dense()[p.block_indices(0)]
         assert np.linalg.norm(g_hat.to_dense() - g_true) <= 1e-3 * np.linalg.norm(g_true)
 
@@ -71,11 +71,14 @@ class TestEstimateBlockGradient:
         assert np.array_equal(x, x_before)
 
     def test_return_base(self):
+        # the second return value is the base query f(x) the differences used
         d, J, s = 64, 2, 3
         streams, p, cfg = make_setup(d, J, s, seed=4)
-        oracle = make_noisy_oracle(lambda x: 7.5, NoiseModel.none(), streams)
-        _, base = estimate_block_gradient(oracle, np.zeros(d), p, 0, cfg, return_base=True)
-        assert base == 7.5
+        oracle = make_noisy_oracle(lambda x: 7.5, NoiseModel.gaussian(1e-2), streams)
+        g_hat, base = estimate_block_gradient(oracle, np.zeros(d), p, 0, cfg)
+        replay = make_noisy_oracle(lambda x: 7.5, NoiseModel.gaussian(1e-2), streams)
+        assert base == replay.eval(np.zeros(d)) != 7.5
+        assert g_hat.dim == int(p.block_sizes[0])
 
     def test_dimension_mismatch_rejected(self):
         streams, p, cfg = make_setup(64, 2, 3, seed=5)

@@ -32,6 +32,32 @@ SPEC_DOC = {
 }
 
 
+_PARAMS = SPEC_DOC["params"]
+# Each malformed input must end `zobcd` with exit code 1 and a one-line message.
+BAD_INPUTS = {
+    "params-unknown-key": dict(params=dict(_PARAMS, bogus=1)),
+    "params-duplicates-objective-d": dict(params=dict(_PARAMS, d=200)),
+    "params-duplicates-seed": dict(params=dict(_PARAMS, seed=4)),
+    "params-missing-budget": dict(params={k: v for k, v in _PARAMS.items() if k != "budget"}),
+    "params-string-number": dict(params=dict(_PARAMS, J="2")),
+    "params-delta-zero": dict(params=dict(_PARAMS, delta=0.0)),
+    "params-reshuffle-period-zero": dict(params=dict(_PARAMS, reshuffle_period=0)),
+    "params-baseline-given-J": dict(method="fdsa", params=dict(alpha=0.1, delta=1e-3, budget=10, J=2)),
+    "params-rc-rows-beyond-block": dict(method="zobcd-rc", params=dict(_PARAMS, m_override=200)),
+    "objective-missing-d": dict(objective={"name": "sparse-quadric", "s": 10}),
+    "objective-fractional-d": dict(objective={"name": "sparse-quadric", "d": 200.5, "s": 10}),
+    "objective-missing-s": dict(objective={"name": "sparse-quadric", "d": 200}),
+    "objective-string-s": dict(objective={"name": "sparse-quadric", "d": 200, "s": "10"}),
+    "objective-s-above-d": dict(objective={"name": "sparse-quadric", "d": 20, "s": 30}),
+    "repeats-string": dict(repeats="3"),
+    "seed-fractional": dict(seed=1.5),
+    "noise-level-nan": dict(noise={"kind": "gaussian", "level": float("nan")}),
+    "noise-level-inf": dict(noise={"kind": "gaussian", "level": float("inf")}),
+    "noise-unknown-key": dict(noise={"kind": "gaussian", "lvl": 1e-6}),
+    "malformed-trace-row": None,
+}
+
+
 def write_spec(tmp_path, doc=SPEC_DOC):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -206,6 +232,11 @@ class TestCli:
         summary = json.loads((out_env / "summary.json").read_text())
         assert summary["spec"]["seed"] == 41
 
+    def test_non_integer_seed_env_exit_code_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ZOBCD_SEED", "forty")
+        assert main(["run", "--config", str(write_spec(tmp_path)), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith("configuration error:")
+
     def test_seed_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         spec_path = write_spec(tmp_path)
         monkeypatch.setenv("ZOBCD_SEED", "41")
@@ -214,6 +245,22 @@ class TestCli:
         capsys.readouterr()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["spec"]["seed"] == 17
+
+    @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+    def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, case):
+        if case == "malformed-trace-row":
+            (tmp_path / "trace_000.csv").write_text(
+                "iteration,cumulative_queries,f_value,compute_nanos\n0,0,1.5,0\n1,10,oops,7\n"
+            )
+            code = main(["summarize", "--in", str(tmp_path)])
+        else:
+            doc = dict(SPEC_DOC, **BAD_INPUTS[case])
+            code = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        if case == "malformed-trace-row":
+            assert "trace_000.csv line 3" in err
 
     def test_list_commands(self, capsys):
         assert main(["list-objectives"]) == 0

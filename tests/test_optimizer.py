@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zobcd.core import ConfigurationError, NoiseModel, RngStreams, make_noisy_oracle
+from zobcd.baselines import BaselineConfig, run_baseline
 from zobcd.blocks import random_partition
+from zobcd.harness import METHOD_NAMES
 from zobcd.objectives import SparseQuadric
 from zobcd.optimizer import (
     TERM_BUDGET,
     TERM_TARGET,
     ZobcdConfig,
+    _make_ensembles,
     admissibility_margin,
     inexactness_constants,
     run_zobcd,
@@ -82,7 +86,9 @@ class TestConfigValidation:
             ZobcdConfig(variant="X", d=10, J=2, s=1, alpha=0.1, delta=0.01, budget=10)
 
     @pytest.mark.parametrize(
-        "bad", [dict(J=0), dict(J=11), dict(s=0), dict(alpha=0.0), dict(budget=0)]
+        "bad",
+        [dict(J=0), dict(J=11), dict(s=0), dict(alpha=0.0), dict(budget=0), dict(delta=0.0),
+         dict(delta=-1e-3), dict(reshuffle_period=0)],
     )
     def test_bad_numbers(self, bad):
         kwargs = dict(variant="R", d=10, J=2, s=1, alpha=0.1, delta=0.01, budget=10)
@@ -92,6 +98,11 @@ class TestConfigValidation:
 
     def test_rc_requires_equal_blocks(self):
         q, x0, cfg, oracle = make_quadric_run(100, 3, 4, variant="RC", max_iters=1)
+        with pytest.raises(ConfigurationError):
+            run_zobcd(oracle, x0, cfg)
+
+    def test_rc_rows_beyond_block_size_rejected(self):
+        q, x0, cfg, oracle = make_quadric_run(64, 2, 4, variant="RC", m_override=33, max_iters=1)
         with pytest.raises(ConfigurationError):
             run_zobcd(oracle, x0, cfg)
 
@@ -173,3 +184,91 @@ class TestRunZobcd:
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         fv = res.trace.f_values()
         assert fv[-1] <= 1e-4 * fv[0]
+
+
+class TestUnequalBlocks:
+    """d=121, J=4: block 0 holds 31 coordinates, blocks 1-3 hold 30.
+
+    Smaller blocks take their directions from the largest block's master
+    Rademacher rows, truncated to m_j rows and n_j columns.
+    """
+
+    d, J, s, b1 = 121, 4, 24, 1.0
+    s_block = math.ceil(1.1 * s / J)
+
+    def rows(self, n):
+        return required_rows("rademacher", self.s_block, n, b1=self.b1)
+
+    def test_iteration_costs_m_j_plus_one_for_the_chosen_block(self):
+        assert self.rows(31) != self.rows(30)  # otherwise the costs cannot tell the blocks apart
+        iters = 16
+        q, x0, cfg, oracle = make_quadric_run(self.d, self.J, self.s, b1=self.b1, max_iters=iters)
+        res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
+        p = random_partition(self.d, self.J, RngStreams(cfg.seed).substream("partition"))
+        choice = RngStreams(cfg.seed).substream("block_choice")
+        blocks = [int(choice.integers(self.J)) for _ in range(iters)]
+        assert {int(p.block_sizes[j]) for j in blocks} == {30, 31}
+        expected = [self.rows(int(p.block_sizes[j])) + 1 for j in blocks]
+        assert list(np.diff(res.trace.queries())) == expected
+        assert oracle.query_count == sum(expected)
+
+    def test_smaller_block_rows_are_prefix_of_master(self):
+        cfg = ZobcdConfig(variant="R", d=self.d, J=self.J, s=self.s, alpha=1.0, delta=1e-6,
+                          budget=10**6, b1=self.b1)
+        streams = RngStreams(cfg.seed)
+        p = random_partition(self.d, self.J, streams.substream("partition"))
+        ens = _make_ensembles(cfg, p, streams, self.s_block, streams.substream("omega"))
+        assert sorted(ens) == [30, 31]
+        master, small = ens[31], ens[30]
+        assert (master.m, master.n) == (self.rows(31), 31)
+        assert (small.m, small.n) == (self.rows(30), 30)
+        assert np.array_equal(small.rows, master.rows[: small.m, :30])
+        assert np.all(np.abs(small.rows) == 1.0)
+
+
+class TestBudgetIsHardCap:
+    def test_no_iteration_started_that_cannot_finish(self):
+        # d=2000, J=2, s=20 costs m + 1 = 153 queries per iteration: a budget
+        # of 300 fits one iteration, not two
+        q, x0, cfg, oracle = make_quadric_run(2000, 2, 20, budget=300)
+        res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
+        assert oracle.query_count == 153
+        assert res.termination == TERM_BUDGET
+        assert [r.cumulative_queries for r in res.trace.records] == [0, 153]
+
+    def test_fallback_record_reports_queries_used(self):
+        q, x0, cfg, oracle = make_quadric_run(120, 4, 8, budget=5)
+        res = run_zobcd(oracle, x0, cfg)
+        assert oracle.query_count == 0
+        (rec,) = res.trace.records
+        assert (rec.iteration, rec.cumulative_queries) == (0, 0)
+        assert math.isnan(rec.f_value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        method=st.sampled_from(METHOD_NAMES),
+        budget=st.integers(1, 400),
+        n=st.integers(8, 40),
+        J=st.integers(1, 4),
+        seed=st.integers(0, 2**16),
+        report=st.booleans(),
+    )
+    def test_every_method_stays_within_budget(self, method, budget, n, J, seed, report):
+        d = n * J
+        gen = np.random.default_rng(seed)
+        q = SparseQuadric.random(d, 2, gen)
+        x0 = gen.standard_normal(d)
+        x0_before = x0.copy()
+        oracle = make_noisy_oracle(q.eval, NoiseModel.gaussian(1e-6), RngStreams(seed))
+        report_f = q.eval if report else None
+        if method.startswith("zobcd"):
+            variant = "R" if method == "zobcd-r" else "RC"
+            cfg = ZobcdConfig(variant=variant, d=d, J=J, s=2, alpha=0.5, delta=1e-3, budget=budget, seed=seed)
+            res = run_zobcd(oracle, x0, cfg, report_f=report_f)
+        else:
+            cfg = BaselineConfig(method=method, alpha=0.1, delta=1e-3, budget=budget, seed=seed)
+            res = run_baseline(oracle, x0, cfg, report_f=report_f)
+        assert oracle.query_count <= budget
+        assert res.trace.records[-1].cumulative_queries == oracle.query_count
+        assert res.termination == TERM_BUDGET
+        assert np.array_equal(x0, x0_before)
