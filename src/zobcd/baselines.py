@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure, Oracle, RngStreams
-from zobcd.optimizer import RunResult, drive
+from zobcd.optimizer import RunResult, check_run_limits, drive
 
 
 @dataclass(frozen=True)
@@ -28,10 +28,7 @@ class BaselineConfig:
     def __post_init__(self):
         if self.method not in BASELINES:
             raise ConfigurationError(f"unknown baseline method: {self.method!r}")
-        if self.alpha <= 0 or self.delta <= 0:
-            raise ConfigurationError("alpha and delta must be > 0")
-        if self.budget < 1:
-            raise ConfigurationError(f"query budget must be >= 1, got {self.budget}")
+        check_run_limits(self, "alpha", "delta")
 
 
 def run_fdsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:

@@ -50,12 +50,26 @@ class ZobcdConfig:
             raise ConfigurationError(f"need 1 <= J <= d, got J={self.J}, d={self.d}")
         if self.s < 1:
             raise ConfigurationError(f"need s >= 1, got {self.s}")
-        if self.alpha <= 0 or self.delta <= 0:
-            raise ConfigurationError(f"need step size alpha and query radius delta > 0, got {self.alpha}, {self.delta}")
+        check_run_limits(self, "alpha", "delta", "b1", "b3", "block_sparsity_factor")
         if self.reshuffle_period is not None and self.reshuffle_period < 1:
             raise ConfigurationError(f"reshuffle period must be >= 1, got {self.reshuffle_period}")
-        if self.budget < 1:
-            raise ConfigurationError(f"query budget must be >= 1, got {self.budget}")
+        if self.m_override is not None and self.m_override < 1:
+            raise ConfigurationError(f"m_override must be >= 1, got {self.m_override}")
+
+
+def check_run_limits(cfg, *positive: str):
+    """Validate the fields every method's config shares, and ``positive``:
+    each of those must be finite and > 0 (NaN fails every comparison)."""
+    for name in positive:
+        value = getattr(cfg, name)
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+    if cfg.budget < 1:
+        raise ConfigurationError(f"query budget must be >= 1, got {cfg.budget}")
+    if cfg.target is not None and not math.isfinite(cfg.target):
+        raise ConfigurationError(f"target must be finite, got {cfg.target}")
+    if cfg.max_iters is not None and cfg.max_iters < 0:
+        raise ConfigurationError(f"max_iters must be >= 0, got {cfg.max_iters}")
 
 
 @dataclass

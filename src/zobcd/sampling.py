@@ -7,15 +7,12 @@ Both implement ``MeasurementOperator``. Stored data is exactly +-1; the
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Protocol
 
 import numpy as np
 
 from zobcd.core import ConfigurationError
-
-# Below this length the cyclic correlation is done directly; FFT overhead
-# dominates at tiny n.
-_FFT_MIN_N = 64
 
 
 class MeasurementOperator(Protocol):
@@ -78,14 +75,11 @@ class PartialCirculantEnsemble:
         self.m = omega.size
         self.n = n
         self._scale = 1.0 / math.sqrt(self.m)
-        self._zf = np.fft.rfft(z) if n >= _FFT_MIN_N else None
+        self._zf = np.fft.rfft(z)
 
     def _correlate(self, v: np.ndarray) -> np.ndarray:
         # c[i] = sum_j z[(i + j) mod n] v[j], for all i in [0, n)
-        if self._zf is not None:
-            return np.fft.irfft(self._zf * np.conj(np.fft.rfft(v)), self.n)
-        idx = (np.arange(self.n)[:, None] + np.arange(self.n)[None, :]) % self.n
-        return self.z[idx] @ v
+        return np.fft.irfft(self._zf * np.conj(np.fft.rfft(v)), self.n)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.n,):
@@ -133,16 +127,20 @@ def required_rows(variant: str, s: int, n: int, b1: float = 2.0, b3: float = 1.0
     """Row count needed for s-sparse recovery, clamped to [s + 1, n].
 
     Natural log throughout; the constants b1 (dense) and b3 (circulant) are
-    user-tunable to compensate for the hidden log base.
+    user-tunable to compensate for the hidden log base. Clamping to n warns:
+    such a block costs as many queries as finite differences on every
+    coordinate.
     """
     if s < 1 or s > n:
         raise ConfigurationError(f"need 1 <= s <= n, got s={s}, n={n}")
-    if b1 <= 0 or b3 <= 0:
-        raise ConfigurationError("b1 and b3 must be positive")
+    if not (0 < b1 < math.inf and 0 < b3 < math.inf):
+        raise ConfigurationError(f"b1 and b3 must be finite and > 0, got {b1}, {b3}")
     if variant == "rademacher":
         m = math.ceil(b1 * s * math.log(n))
     elif variant == "circulant":
         m = math.ceil(b3 * s * math.log(max(s, 2)) ** 2 * math.log(n) ** 2)
     else:
         raise ConfigurationError(f"unknown ensemble variant: {variant!r}")
+    if m > n:
+        warnings.warn(f"{variant} ensemble for s={s} needs m={m} rows, clamped to the block size n={n}", stacklevel=2)
     return min(max(m, s + 1), n)

@@ -1,19 +1,25 @@
 """CoSaMP sparse recovery over an abstract measurement operator.
 
-The inner least-squares solves run conjugate gradients on the normal
-equations of the column-gathered operator, so the partial circulant variant
-never materializes more than an m x |support| working block.
+The inner least-squares fits are exact: a Cholesky solve of the normal
+equations of the gathered columns, or numpy's minimum-norm ``lstsq`` where
+those equations are singular. Only the m x |support| gather is materialized,
+so the partial circulant variant never forms its full matrix.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure
 from zobcd.sampling import MeasurementOperator
+
+# A Cholesky pivot of the Gram matrix below this fraction of the largest one
+# marks the gathered columns as numerically dependent. The normal equations
+# then have many solutions, and restricted_lsq takes lstsq's minimum-norm one.
+_MIN_PIVOT_RATIO = 1e-7
 
 
 @dataclass(frozen=True)
@@ -60,9 +66,6 @@ class SparseVector:
 class CosampConfig:
     s: int
     n_iters: int = 10
-    residual_tol: float | None = None  # default 1e-12 * ||y||
-    lsq_max_iters: int = 40
-    lsq_tol: float = 1e-12
 
     def __post_init__(self):
         if self.s < 1:
@@ -71,17 +74,14 @@ class CosampConfig:
             raise ConfigurationError(f"n_iters must be >= 1, got {self.n_iters}")
 
 
-def top_k_magnitude(v, k: int) -> np.ndarray:
+def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest-magnitude entries, ties broken by lowest index.
 
     Zero entries never qualify: with fewer than k nonzeros, all nonzero
-    indices are returned. Accepts a dense array or a SparseVector.
+    indices are returned.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if isinstance(v, SparseVector):
-        local = top_k_magnitude(v.values, k)
-        return np.sort(v.indices[local])
     v = np.asarray(v, dtype=np.float64)
     if k == 0:
         return np.empty(0, dtype=np.intp)
@@ -91,48 +91,31 @@ def top_k_magnitude(v, k: int) -> np.ndarray:
     return np.sort(order)
 
 
-def _cg_normal_equations(A: np.ndarray, y: np.ndarray, max_iters: int, tol: float) -> np.ndarray:
-    """CG on A^T A w = A^T y (CGNR). Raises NumericalFailure on divergence."""
-    b = A.T @ y
-    w = np.zeros(A.shape[1])
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    rs0 = rs
-    if rs0 == 0.0:
-        return w
-    for _ in range(max_iters):
-        Ap = A.T @ (A @ p)
-        pAp = float(p @ Ap)
-        if pAp <= 0:
-            break
-        a = rs / pAp
-        w += a * p
-        r -= a * Ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
-            raise NumericalFailure("non-finite residual in normal-equation CG")
-        if rs_new > 100.0 * rs0:  # residual grew 10x in norm
-            raise NumericalFailure("normal-equation CG diverged")
-        if np.sqrt(rs_new / rs0) <= tol:
-            return w
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return w
+def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Least-squares fit of y on the columns of Z selected by support.
 
-
-def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray, max_iters: int = 20, tol: float = 1e-8) -> np.ndarray:
-    """Least-squares fit of y on the columns of Z selected by support."""
+    Solves the normal equations A^T A w = A^T y of the gathered columns A by
+    Cholesky. With more columns than rows, or numerically dependent columns,
+    returns the minimum-norm least-squares solution instead.
+    """
     support = np.asarray(support, dtype=np.intp)
     if support.size == 0:
         return np.empty(0)
+    A = Z.columns(support)
     if support.size > Z.m:
         warnings.warn(
             f"restricted least squares with |support|={support.size} > m={Z.m} is underdetermined",
             stacklevel=2,
         )
-    A = Z.columns(support)
-    return _cg_normal_equations(A, y, max_iters, tol)
+    else:
+        try:
+            L = np.linalg.cholesky(A.T @ A)
+            pivots = np.diagonal(L) ** 2
+            if pivots.min() >= _MIN_PIVOT_RATIO * pivots.max():
+                return np.linalg.solve(L.T, np.linalg.solve(L, A.T @ y))
+        except np.linalg.LinAlgError:  # not numerically positive definite
+            pass
+    return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
 def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=None) -> SparseVector:
@@ -148,7 +131,8 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
         raise ConfigurationError(f"sparsity target {cfg.s} exceeds ambient dim {n}")
 
     ynorm = float(np.linalg.norm(y))
-    tol = cfg.residual_tol if cfg.residual_tol is not None else 1e-12 * ynorm
+    if not np.isfinite(ynorm):
+        raise NumericalFailure("non-finite measurements")
     if ynorm == 0.0:
         return SparseVector.empty(n)
 
@@ -157,7 +141,7 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
             f"sparsity target s={cfg.s} >= n/2={n / 2}; falling back to full least squares",
             stacklevel=2,
         )
-        w = restricted_lsq(Z, y, np.arange(n), cfg.lsq_max_iters, cfg.lsq_tol)
+        w = restricted_lsq(Z, y, np.arange(n))
         keep = top_k_magnitude(w, cfg.s)
         return SparseVector(keep, w[keep], n)
 
@@ -171,7 +155,7 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
-        w = restricted_lsq(Z, y, merged, cfg.lsq_max_iters, cfg.lsq_tol)
+        w = restricted_lsq(Z, y, merged)
         keep_local = top_k_magnitude(w, cfg.s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
         r = y - Z.columns(estimate.indices) @ estimate.values
@@ -180,6 +164,6 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
         rnorm = float(np.linalg.norm(r))
         if on_iterate is not None:
             on_iterate(k, estimate, rnorm)
-        if rnorm <= tol:
+        if rnorm <= 1e-12 * ynorm:
             break
     return estimate

@@ -51,6 +51,22 @@ CASES = {
                    "reshuffle_period": 3, "b1": 3.0},
         "seed": 4, "noise": {"kind": "bounded", "level": 1e-4},
     },
+    "zobcd-r-dense-fallback": {
+        # s_block = 6 >= n/2 = 5 on 10-column blocks: CoSaMP's full-fit branch on
+        # a rank-deficient 10 x 10 ensemble
+        "objective": {"name": "sparse-quadric", "d": 40, "s": 20},
+        "method": "zobcd-r",
+        "params": {"J": 4, "alpha": 0.9, "delta": 1e-2, "budget": 10**6, "max_iters": 6},
+        "seed": 7, "noise": _GAUSS,
+    },
+    "zobcd-rc-small-block": {
+        # blocks of n = 30: the circulant correlation at small n
+        "objective": {"name": "sparse-quadric", "d": 120, "s": 6},
+        "method": "zobcd-rc",
+        "params": {"J": 4, "alpha": 0.9, "delta": 1e-2, "budget": 10**6, "max_iters": 6,
+                   "reshuffle_period": 2, "m_override": 12},
+        "seed": 6, "noise": _GAUSS,
+    },
     "fdsa": {
         "objective": {"name": "sparse-quadric", "d": 50, "s": 5},
         "method": "fdsa",

@@ -44,6 +44,17 @@ BAD_INPUTS = {
     "params-reshuffle-period-zero": dict(params=dict(_PARAMS, reshuffle_period=0)),
     "params-baseline-given-J": dict(method="fdsa", params=dict(alpha=0.1, delta=1e-3, budget=10, J=2)),
     "params-rc-rows-beyond-block": dict(method="zobcd-rc", params=dict(_PARAMS, m_override=200)),
+    "params-b1-nan": dict(params=dict(_PARAMS, b1=float("nan"))),
+    "params-rc-b3-inf": dict(method="zobcd-rc", params=dict(_PARAMS, b3=float("inf"))),
+    "params-rc-m-override-negative": dict(method="zobcd-rc", params=dict(_PARAMS, m_override=-5)),
+    "params-m-override-zero": dict(params=dict(_PARAMS, m_override=0)),
+    "params-alpha-nan": dict(params=dict(_PARAMS, alpha=float("nan"))),
+    "params-delta-inf": dict(params=dict(_PARAMS, delta=float("inf"))),
+    "params-baseline-alpha-nan": dict(method="fdsa", params=dict(alpha=float("nan"), delta=1e-3, budget=10)),
+    "params-baseline-delta-inf": dict(method="fdsa", params=dict(alpha=0.1, delta=float("inf"), budget=10)),
+    "params-block-sparsity-factor-negative": dict(params=dict(_PARAMS, block_sparsity_factor=-1.0)),
+    "params-target-nan": dict(params=dict(_PARAMS, target=float("nan"))),
+    "params-max-iters-negative": dict(params=dict(_PARAMS, max_iters=-3)),
     "objective-missing-d": dict(objective={"name": "sparse-quadric", "s": 10}),
     "objective-fractional-d": dict(objective={"name": "sparse-quadric", "d": 200.5, "s": 10}),
     "objective-missing-s": dict(objective={"name": "sparse-quadric", "d": 200}),

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -137,8 +140,21 @@ class TestRequiredRows:
         assert required_rows("rademacher", 42, 4000, b1=1.0) == 349
 
     def test_clamped_to_n(self):
-        assert required_rows("rademacher", 100, 100, b1=4.0) == 100
-        assert required_rows("circulant", 100, 100, b3=1.0) == 100
+        with pytest.warns(UserWarning, match="clamped"):
+            assert required_rows("rademacher", 100, 100, b1=4.0) == 100
+        with pytest.warns(UserWarning, match="clamped"):
+            assert required_rows("circulant", 100, 100, b3=1.0) == 100
+
+    def test_clamp_warning_names_s_n_and_unclamped_m(self):
+        # the default b3 asks for more rows than a 5000-column block has
+        m = math.ceil(53 * math.log(53) ** 2 * math.log(5000) ** 2)
+        with pytest.warns(UserWarning, match=f"s=53 needs m={m} rows, clamped to the block size n=5000"):
+            assert required_rows("circulant", 53, 5000) == 5000
+
+    def test_no_warning_without_clamp(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert required_rows("rademacher", 53, 5000, b1=4.0) == 1806
 
     def test_clamped_above_sparsity(self):
         assert required_rows("rademacher", 5, 1000, b1=1e-6) == 6
@@ -152,8 +168,9 @@ class TestRequiredRows:
             required_rows("rademacher", 50, 10)
         with pytest.raises(ConfigurationError):
             required_rows("unknown", 5, 10)
-        with pytest.raises(ConfigurationError):
-            required_rows("rademacher", 5, 10, b1=0.0)
+        for b1, b3 in ((0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))):
+            with pytest.raises(ConfigurationError):
+                required_rows("circulant", 5, 10, b1=b1, b3=b3)
 
 
 def test_rip_spot_check():

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zobcd.core import RngStreams
+from zobcd.core import NumericalFailure, RngStreams
 from zobcd.sampling import make_partial_circulant, make_rademacher, required_rows
 from zobcd.sparse_recovery import (
     CosampConfig,
@@ -41,10 +44,6 @@ class TestTopK:
     def test_fewer_nonzeros_than_k(self):
         assert np.array_equal(top_k_magnitude(np.array([0.0, 2.0, 0.0]), 3), [1])
 
-    def test_sparse_vector_input(self):
-        sv = SparseVector(np.array([2, 7, 9]), np.array([1.0, -4.0, 2.0]), 12)
-        assert np.array_equal(top_k_magnitude(sv, 2), [7, 9])
-
 
 class TestSparseVector:
     def test_roundtrip(self):
@@ -81,14 +80,14 @@ class TestRestrictedLsq:
 
         w_true = gen.standard_normal(4)
         y = Q @ w_true
-        w = restricted_lsq(Op(), y, np.arange(4), max_iters=50, tol=1e-14)
+        w = restricted_lsq(Op(), y, np.arange(4))
         np.testing.assert_allclose(w, w_true, atol=1e-10)
 
     def test_overdetermined_matches_dense_qr_oracle(self):
         Z = make_rademacher(32, 64, rng(3))
         support = np.array([4, 20, 41])
         y = rng(4).standard_normal(32)
-        w = restricted_lsq(Z, y, support, max_iters=50, tol=1e-12)
+        w = restricted_lsq(Z, y, support)
         expected, *_ = np.linalg.lstsq(Z.columns(support), y, rcond=None)
         np.testing.assert_allclose(w, expected, rtol=1e-8, atol=1e-10)
 
@@ -96,6 +95,33 @@ class TestRestrictedLsq:
         Z = make_rademacher(4, 64, rng(5))
         with pytest.warns(UserWarning, match="underdetermined"):
             restricted_lsq(Z, np.ones(4), np.arange(10))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(3, 12), st.data())
+    def test_matches_minimum_norm_lstsq(self, m, data):
+        # Rademacher gathers that are full rank, rank deficient (a column
+        # repeated or negated) or underdetermined (|support| > m)
+        k = data.draw(st.integers(1, 2 * m), label="|support|")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        gen = np.random.default_rng(seed)
+        cols = gen.choice([-1.0, 1.0], size=(m, k))
+        if k >= 2 and data.draw(st.booleans(), label="dependent column"):
+            i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+            cols[:, j] = data.draw(st.sampled_from([1.0, -1.0]), label="sign") * cols[:, i]
+        y = gen.standard_normal(m)
+
+        class Op:
+            def __init__(self):
+                self.m, self.n = m, k
+
+            def columns(self, idx):
+                return cols[:, idx] / np.sqrt(m)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the underdetermined case warns
+            w = restricted_lsq(Op(), y, np.arange(k))
+        expected = np.linalg.lstsq(cols / np.sqrt(m), y, rcond=None)[0]
+        np.testing.assert_allclose(w, expected, rtol=0, atol=1e-9)
 
 
 class TestCosamp:
@@ -168,13 +194,23 @@ class TestCosamp:
             cosamp(
                 Z,
                 Z.apply(g),
-                CosampConfig(s=s, residual_tol=0.0),
+                CosampConfig(s=s),
                 on_iterate=lambda k, est, r: errors.append(np.linalg.norm(est.to_dense() - g)),
             )
             for prev, cur in zip(errors, errors[1:]):
                 if prev > 1e-9 * np.linalg.norm(g):
                     ratios.append(cur / prev)
         assert np.median(ratios) <= 0.5
+
+    @pytest.mark.parametrize("s", [3, 10])  # the CoSaMP loop and the s >= n/2 full fit
+    def test_non_finite_measurements_raise(self, s):
+        Z = make_rademacher(16, 16, rng(43))
+        y = np.ones(16)
+        y[5] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalFailure):
+                cosamp(Z, y, CosampConfig(s=s))
 
     def test_degenerate_sparsity_falls_back(self):
         Z = make_rademacher(16, 16, rng(41))
