@@ -83,17 +83,29 @@ class NoiseModel:
 class Oracle:
     """Noisy zeroth-order oracle around a deterministic objective.
 
-    Each ``eval`` increments the query counter by exactly one. The noise
-    draw is addressed by query index through a counter-based generator, so
-    the value returned for query i is independent of call interleaving.
-    Wall time spent inside ``eval`` is accumulated in ``eval_nanos`` so
-    callers can report compute time excluding queries.
+    Each ``eval`` increments the query counter by exactly one, and each
+    ``eval_block`` by exactly m. The noise draw is addressed by query index
+    through a counter-based generator, so the value returned for query i is
+    independent of call interleaving and of whether it came from ``eval`` or
+    ``eval_block``. Wall time spent inside both is accumulated in
+    ``eval_nanos`` so callers can report compute time excluding queries.
+
+    When ``f`` is the bound ``eval`` method of an object that also has an
+    ``eval_block(x, idx, Z, delta)`` method, ``eval_block`` hands the whole
+    batch to it; any other ``f`` is called once per row.
     """
 
     def __init__(self, f, noise: NoiseModel, streams: RngStreams):
         self._f = f
+        owner = getattr(f, "__self__", None)
+        self._f_block = getattr(owner, "eval_block", None) if f == getattr(owner, "eval", None) else None
         self._noise = noise
-        self._key = streams.counter_key("noise")
+        # One Philox, re-pointed at counter (0, i, 0, 0) for query i. The state
+        # it is reset to also has the empty output buffer (buffer_pos,
+        # has_uint32) of a new generator, so each draw equals that of a
+        # generator freshly built at that counter.
+        self._gen = np.random.Generator(np.random.Philox(key=streams.counter_key("noise")))
+        self._state = self._gen.bit_generator.state
         self._count = 0
         self._eval_nanos = 0
 
@@ -109,10 +121,11 @@ class Oracle:
         kind = self._noise.kind
         if kind == "none":
             return 0.0
-        gen = np.random.Generator(np.random.Philox(key=self._key, counter=idx << 64))
+        self._state["state"]["counter"][1] = idx
+        self._gen.bit_generator.state = self._state
         if kind == "bounded":
-            return gen.uniform(-self._noise.level, self._noise.level)
-        return gen.normal(0.0, np.sqrt(self._noise.level))
+            return self._gen.uniform(-self._noise.level, self._noise.level)
+        return self._gen.normal(0.0, np.sqrt(self._noise.level))
 
     def eval(self, x: np.ndarray) -> float:
         t0 = time.perf_counter_ns()
@@ -121,6 +134,33 @@ class Oracle:
         value = float(self._f(x)) + self._noise_draw(idx)
         self._eval_nanos += time.perf_counter_ns() - t0
         return value
+
+    def eval_block(self, x: np.ndarray, idx: np.ndarray, Z, delta: float) -> np.ndarray:
+        """m queries in one call: row i is the value at x + delta * lift(Z.row(i)).
+
+        ``idx`` holds the ambient coordinates of the block, in the column
+        order of the m x |idx| operator ``Z``. Row i is query number
+        ``query_count + i`` (counted on entry) and equals what ``eval`` at
+        that point would return as that query. ``x`` is not modified.
+        """
+        if len(idx) != Z.n:
+            raise ValueError(f"block of {len(idx)} coordinates for an operator with n={Z.n}")
+        t0 = time.perf_counter_ns()
+        i0 = self._count
+        self._count += Z.m
+        if self._f_block is not None:
+            values = np.asarray(self._f_block(x, idx, Z, delta), dtype=np.float64)
+        else:
+            xw = x.copy()
+            save = xw[idx]
+            values = np.empty(Z.m)
+            for i in range(Z.m):
+                xw[idx] = save + delta * Z.row(i)
+                values[i] = self._f(xw)
+        if self._noise.kind != "none":
+            values = values + [self._noise_draw(i0 + i) for i in range(Z.m)]
+        self._eval_nanos += time.perf_counter_ns() - t0
+        return values
 
 
 def make_noisy_oracle(f, noise: NoiseModel, streams: RngStreams) -> Oracle:

@@ -1,8 +1,8 @@
 """Block gradient estimation: finite-difference measurements plus sparse recovery.
 
-One call issues exactly m + 1 oracle queries: a base evaluation at x and one
-forward difference per sample direction, then recovers the s-sparse block
-gradient with CoSaMP.
+One call issues exactly m + 1 oracle queries: a base evaluation at x, then
+one ``Oracle.eval_block`` call for the m forward differences along the
+sample directions. CoSaMP then recovers the s-sparse block gradient.
 """
 
 from __future__ import annotations
@@ -53,18 +53,11 @@ def estimate_block_gradient(
     if not math.isfinite(base):
         raise NumericalFailure("oracle returned non-finite base value")
 
-    # Perturb only the block slice of a private copy; restoring from the
-    # saved slice keeps the base point bit-exact between queries.
-    xw = x.copy()
-    save = xw[idx].copy()
-    y = np.empty(m)
-    for i in range(m):
-        xw[idx] = save + cfg.delta * Z.row(i)
-        v = oracle.eval(xw)
-        if not math.isfinite(v):
-            raise NumericalFailure(f"oracle returned non-finite value at direction {i}")
-        y[i] = (v - base) * scale
-        xw[idx] = save
+    values = oracle.eval_block(x, idx, Z, cfg.delta)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NumericalFailure(f"oracle returned non-finite value at direction {bad[0]}")
+    y = (values - base) * scale
 
     g_hat = cosamp(Z, y, cfg.cosamp)
     return g_hat, base

@@ -1,7 +1,8 @@
 """Measurement operators: dense Rademacher rows and partial circulant ensembles.
 
 Both implement ``MeasurementOperator``. Stored data is exactly +-1; the
-1/sqrt(m) factor is applied lazily at apply/adjoint/columns time.
+1/sqrt(m) factor is applied lazily at apply/adjoint/columns time, and never
+by row/directions, which give the raw sample directions.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ class MeasurementOperator(Protocol):
     n: int
 
     def row(self, i: int) -> np.ndarray: ...  # unscaled +-1 sample direction
+    def directions(self, cols: np.ndarray) -> np.ndarray: ...  # unscaled m x |cols| gather
     def apply(self, v: np.ndarray) -> np.ndarray: ...  # scaled forward product
     def adjoint(self, y: np.ndarray) -> np.ndarray: ...  # scaled transpose product
     def columns(self, idx: np.ndarray) -> np.ndarray: ...  # scaled column gather
@@ -50,8 +52,11 @@ class RademacherEnsemble:
     def row(self, i: int) -> np.ndarray:
         return self.rows[i]
 
+    def directions(self, cols: np.ndarray) -> np.ndarray:
+        return self.rows[:, cols]
+
     def columns(self, idx: np.ndarray) -> np.ndarray:
-        return self.rows[:, idx] * self._scale
+        return self.directions(idx) * self._scale
 
 
 class PartialCirculantEnsemble:
@@ -96,9 +101,12 @@ class PartialCirculantEnsemble:
     def row(self, i: int) -> np.ndarray:
         return np.roll(self.z, -int(self.omega[i]))
 
+    def directions(self, cols: np.ndarray) -> np.ndarray:
+        cols = np.asarray(cols, dtype=np.intp)
+        return self.z[(self.omega[:, None] + cols[None, :]) % self.n]
+
     def columns(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.intp)
-        return self.z[(self.omega[:, None] + idx[None, :]) % self.n] * self._scale
+        return self.directions(idx) * self._scale
 
     def with_new_omega(self, rng: np.random.Generator) -> "PartialCirculantEnsemble":
         """Fresh row subset over the same generator (used on block reshuffles)."""

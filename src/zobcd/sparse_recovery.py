@@ -85,10 +85,16 @@ def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if k == 0:
         return np.empty(0, dtype=np.intp)
-    mag = np.abs(v)
-    order = np.lexsort((np.arange(v.size), -mag))[:k]
-    order = order[mag[order] > 0]
-    return np.sort(order)
+    # NaN ranks like zero: it never qualifies and never displaces a nonzero.
+    mag = np.fmax(np.abs(v), 0.0)
+    if k < v.size:
+        kth = np.partition(mag, v.size - k)[v.size - k]  # the k-th largest magnitude
+        above = np.flatnonzero(mag > kth)
+        ties = np.flatnonzero(mag == kth)[: k - above.size]  # lowest indices first
+        sel = np.sort(np.concatenate((above, ties)))
+    else:
+        sel = np.arange(v.size)
+    return sel[mag[sel] > 0]
 
 
 def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -> np.ndarray:

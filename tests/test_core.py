@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,10 @@ from zobcd.core import (
     RngStreams,
     make_noisy_oracle,
 )
+from zobcd.objectives import MaxSSumSquared, SparseQuadric
+from zobcd.sampling import make_partial_circulant, make_rademacher
+
+NOISES = [NoiseModel.none(), NoiseModel.bounded(0.1), NoiseModel.gaussian(1e-2)]
 
 
 def test_noiseless_oracle_identity():
@@ -46,6 +52,94 @@ def test_noise_draws_addressed_by_query_index():
     b = make_noisy_oracle(lambda x: 0.0, NoiseModel.gaussian(1.0), RngStreams(9))
     x = np.zeros(1)
     assert [a.eval(x) for _ in range(20)] == [b.eval(x) for _ in range(20)]
+
+
+def test_reused_generator_matches_a_fresh_one_per_query():
+    # the oracle re-points one Philox per draw; a generator built at the
+    # query's counter gives the same value
+    for noise in NOISES[1:]:
+        oracle = make_noisy_oracle(lambda x: 0.0, noise, RngStreams(11))
+        key = RngStreams(11).counter_key("noise")
+        x = np.zeros(1)
+        for i in range(2000):
+            gen = np.random.Generator(np.random.Philox(key=key, counter=i << 64))
+            fresh = gen.uniform(-0.1, 0.1) if noise.kind == "bounded" else gen.normal(0.0, 0.1)
+            assert oracle.eval(x) == fresh
+
+
+def _block_case(seed, circulant):
+    gen = np.random.default_rng(seed)
+    d, n, m = 60, 25, 9
+    idx = gen.permutation(d)[:n]  # an unsorted block
+    Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+    return gen.standard_normal(d), idx, Z
+
+
+def _sequential(f, noise, x, idx, Z, delta, skip=0):
+    """The values of m eval calls at the probe points, after ``skip`` other queries."""
+    oracle = make_noisy_oracle(f, noise, RngStreams(3))
+    for _ in range(skip):
+        oracle.eval(x)
+    out = []
+    for i in range(Z.m):
+        xw = x.copy()
+        xw[idx] = x[idx] + delta * Z.row(i)
+        out.append(oracle.eval(xw))
+    return np.array(out)
+
+
+class TestEvalBlock:
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.kind)
+    @pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
+    @pytest.mark.parametrize("objective", ["quadric", "maxsum", "callable"])
+    def test_equals_sequential_evals(self, noise, circulant, objective):
+        x, idx, Z = _block_case(1, circulant)
+        obj = {"quadric": SparseQuadric.random(60, 7, np.random.default_rng(2)), "maxsum": MaxSSumSquared(60, 5)}
+        f = obj[objective].eval if objective in obj else (lambda v: float(np.sin(v).sum()))
+        oracle = make_noisy_oracle(f, noise, RngStreams(3))
+        oracle.eval(x)  # the block's query indices start at 1
+        x_before = x.copy()
+        got = oracle.eval_block(x, idx, Z, 0.05)
+        assert np.array_equal(x, x_before)
+        assert oracle.query_count == 1 + Z.m
+        assert np.array_equal(got, _sequential(f, noise, x, idx, Z, 0.05, skip=1))
+
+    def test_objective_batch_path_is_used(self):
+        # the oracle hands the batch to the objective behind a bound eval,
+        # and loops over rows for any other callable
+        x, idx, Z = _block_case(4, False)
+        calls = []
+
+        class Counting(SparseQuadric):
+            def eval(self, v):
+                calls.append(1)
+                return super().eval(v)
+
+        q = Counting(60, np.arange(5), np.ones(5))
+        make_noisy_oracle(q.eval, NoiseModel.none(), RngStreams(0)).eval_block(x, idx, Z, 0.1)
+        assert calls == []
+        make_noisy_oracle(lambda v: q.eval(v), NoiseModel.none(), RngStreams(0)).eval_block(x, idx, Z, 0.1)
+        assert len(calls) == Z.m
+
+    def test_block_size_must_match_operator(self):
+        x, idx, Z = _block_case(6, False)
+        oracle = make_noisy_oracle(lambda v: 0.0, NoiseModel.none(), RngStreams(0))
+        with pytest.raises(ValueError):
+            oracle.eval_block(x, idx[:-1], Z, 0.1)
+        assert oracle.query_count == 0
+
+    def test_eval_nanos_cover_the_whole_call(self):
+        x, idx, Z = _block_case(5, True)
+
+        def slow(v):
+            time.sleep(1e-3)
+            return 0.0
+
+        oracle = make_noisy_oracle(slow, NoiseModel.gaussian(1.0), RngStreams(0))
+        t0 = time.perf_counter_ns()
+        oracle.eval_block(x, idx, Z, 0.1)
+        wall = time.perf_counter_ns() - t0
+        assert Z.m * 1e6 <= oracle.eval_nanos <= wall
 
 
 def test_negative_noise_level_rejected():

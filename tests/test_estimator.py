@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from zobcd.core import ConfigurationError, NoiseModel, RngStreams, make_noisy_oracle
+from zobcd.core import ConfigurationError, NoiseModel, NumericalFailure, RngStreams, make_noisy_oracle
 from zobcd.blocks import random_partition
 from zobcd.estimator import EstimatorConfig, estimate_block_gradient, theoretical_radius
 from zobcd.objectives import SparseQuadric
+from zobcd.optimizer import TERM_FAILURE, ZobcdConfig, run_zobcd
 from zobcd.sampling import make_rademacher, required_rows
 from zobcd.sparse_recovery import CosampConfig
 
@@ -86,6 +87,51 @@ class TestEstimateBlockGradient:
         bad_p = random_partition(64, 4, streams.substream("partition"))
         with pytest.raises(ConfigurationError):
             estimate_block_gradient(oracle, np.zeros(64), bad_p, 0, cfg)
+
+
+class Blowup:
+    """Finite everywhere except at probe direction k of every block."""
+
+    def __init__(self, k, value):
+        self.k, self.value = k, value
+
+    def eval(self, x):
+        return 0.0
+
+    def eval_block(self, x, idx, Z, delta):
+        out = np.zeros(Z.m)
+        out[self.k] = self.value
+        return out
+
+
+class TestNonFiniteProbe:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("batched", [True, False], ids=["eval_block", "loop"])
+    def test_names_the_direction(self, value, batched):
+        d, J, s, k = 64, 2, 3, 5
+        streams, p, cfg = make_setup(d, J, s, seed=7)
+        obj = Blowup(k, value)
+        if batched:
+            f = obj.eval
+        else:  # a plain callable: the base query is call 0, direction i is call i + 1
+            calls = []
+
+            def f(x):
+                calls.append(1)
+                return value if len(calls) == k + 2 else 0.0
+
+        oracle = make_noisy_oracle(f, NoiseModel.gaussian(1e-6), streams)
+        with pytest.raises(NumericalFailure, match=f"at direction {k}$"):
+            estimate_block_gradient(oracle, np.zeros(d), p, 0, cfg)
+        assert oracle.query_count == cfg.ensemble.m + 1
+
+    def test_run_ends_in_numerical_failure(self):
+        d = 40
+        oracle = make_noisy_oracle(Blowup(3, np.nan).eval, NoiseModel.none(), RngStreams(0))
+        cfg = ZobcdConfig(variant="R", d=d, J=2, s=2, alpha=0.5, delta=1e-2, budget=10**4)
+        res = run_zobcd(oracle, np.ones(d), cfg)
+        assert res.termination == TERM_FAILURE
+        assert np.array_equal(res.x_final, np.ones(d))
 
 
 class TestMeasurementScaling:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zobcd.core import ConfigurationError, RngStreams
 from zobcd.blocks import random_partition
 from zobcd.objectives import MaxSSumSquared, SparseQuadric, make_objective
+from zobcd.sampling import make_partial_circulant, make_rademacher
 
 
 def rng(seed=0):
@@ -92,6 +94,42 @@ class TestMaxSSumSquared:
         f = MaxSSumSquared(4, 1)
         g = f.grad(np.array([2.0, -2.0, 1.0, 0.0]))
         assert np.array_equal(g.indices, [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_eval_block_equals_eval_bit_for_bit(data):
+    # each batched probe value is eval at x + delta * lift(Z.row(i)), exactly
+    d = data.draw(st.integers(1, 400), label="d")
+    s = data.draw(st.one_of(st.just(d), st.integers(1, d)), label="s")
+    n = data.draw(st.integers(1, d), label="block size")
+    circulant = data.draw(st.booleans(), label="circulant")
+    m = data.draw(st.integers(1, min(n if circulant else 2 * n, 64)), label="m")
+    delta = data.draw(st.sampled_from([1e-2, 0.5, 1.0]), label="delta")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    idx = gen.permutation(d)[:n]  # unsorted block coordinates
+    Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+    if data.draw(st.booleans(), label="ties"):
+        # tied and zero magnitudes, some a delta away from zero or from each other
+        x = gen.choice([-2.0, -1.0, -delta, 0.0, delta, 0.5, 1.0], size=d)
+    else:
+        x = gen.standard_normal(d)
+    q = SparseQuadric(d, gen.choice(d, size=s, replace=False), gen.uniform(0.5, 2.0, size=s))
+    for f in (q, MaxSSumSquared(d, s)):
+        got = f.eval_block(x, idx, Z, delta)
+        assert got.shape == (m,)
+        for i in range(m):
+            lifted = np.zeros(d)
+            lifted[idx] = Z.row(i)
+            assert got[i] == f.eval(x + delta * lifted)
+
+
+def test_max_s_sum_eval_block_propagates_nan():
+    f = MaxSSumSquared(6, 2)
+    Z = make_rademacher(3, 2, np.random.default_rng(0))
+    x = np.array([5.0, np.nan, 1.0, 0.0, 4.0, 2.0])
+    assert np.isnan(f.eval(x))
+    assert np.all(np.isnan(f.eval_block(x, np.array([4, 0]), Z, 0.1)))
 
 
 def test_objective_registry():

@@ -45,6 +45,24 @@ class TestTopK:
         assert np.array_equal(top_k_magnitude(np.array([0.0, 2.0, 0.0]), 3), [1])
 
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, 3.0]), max_size=40),
+        st.integers(0, 45),
+    )
+    def test_matches_full_sort_reference(self, values, k):
+        # the partition-based selection against a full lexsort, on ties and zeros
+        v = np.array(values, dtype=np.float64)
+        mag = np.abs(v)
+        order = np.lexsort((np.arange(v.size), -mag))[:k]
+        expected = np.sort(order[mag[order] > 0])
+        assert np.array_equal(top_k_magnitude(v, k), expected)
+
+    def test_nan_never_qualifies(self):
+        assert np.array_equal(top_k_magnitude(np.array([np.nan, 1.0, np.nan, 0.0, 2.0]), 2), [1, 4])
+        assert np.array_equal(top_k_magnitude(np.array([np.nan, np.nan, 3.0]), 1), [2])
+
+
 class TestSparseVector:
     def test_roundtrip(self):
         v = np.zeros(10)
