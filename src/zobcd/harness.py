@@ -30,9 +30,16 @@ def _check_number(name: str, value, integral: bool = False):
         raise ConfigurationError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
 
 
+def _check_finite(name: str, value):
+    _check_number(name, value)
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value!r}")
+
+
 def _check_fields(where: str, doc: dict, fields: dict):
     """doc's keys must name dataclass fields and cover those without defaults;
-    values of int- and float-typed fields must be numbers of that kind."""
+    values of int- and float-typed fields must be numbers of that kind, and
+    values of bool-typed fields must be true or false."""
     unknown = set(doc) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)} (accepted: {sorted(fields)})")
@@ -43,6 +50,8 @@ def _check_fields(where: str, doc: dict, fields: dict):
         kind = fields[key].type  # a string: "int", "float | None", "dict", ...
         if kind.startswith(("int", "float")) and not (value is None and kind.endswith("None")):
             _check_number(f"{where}.{key}", value, integral=kind.startswith("int"))
+        elif kind == "bool" and not isinstance(value, bool):
+            raise ConfigurationError(f"{where}.{key} must be true or false, got {value!r}")
 
 
 @dataclass
@@ -71,7 +80,8 @@ class ExperimentSpec:
             _check_number(f"objective.{key}", self.objective.get(key), integral=True)
         if not 1 <= self.objective["s"] <= self.objective["d"]:
             raise ConfigurationError(f"objective needs 1 <= s <= d, got {self.objective}")
-        _check_number("objective.coeff", self.objective.get("coeff", 1.0))
+        _check_finite("objective.coeff", self.objective.get("coeff", 1.0))
+        _check_finite("x0_scale", self.x0_scale)
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
         if self.format not in ("csv", "json"):
@@ -140,6 +150,8 @@ def read_trace(path: str | Path) -> ConvergenceTrace:
         if not lines or lines[0] != ",".join(TRACE_COLUMNS):
             raise ConfigurationError(f"{path} is not a trace file")
         numbered = [(f"line {n}", line.split(",")) for n, line in enumerate(lines[1:], start=2)]
+    if not numbered:
+        raise ConfigurationError(f"{path} holds no trace records")
     trace = ConvergenceTrace()
     for where, row in numbered:
         try:
@@ -180,6 +192,8 @@ def summarize(traces: list[ConvergenceTrace], target: float | None, terminations
         raise ConfigurationError("summarize needs at least one trace")
     runs = []
     for i, trace in enumerate(traces):
+        if not trace.records:
+            raise ConfigurationError(f"trace {i} holds no records")
         it_hit, q_hit = _first_hit(trace, target)
         iter_records = [r for r in trace.records if r.iteration > 0]
         runs.append(

@@ -34,8 +34,8 @@ class SparseQuadric:
             raise ConfigurationError("support and coeffs must have equal length")
         if support.size and (np.unique(support).size != support.size or support[-1] >= self.d):
             raise ConfigurationError("support indices must be distinct and within [0, d)")
-        if np.any(coeffs <= 0):
-            raise ConfigurationError("quadric coefficients must be positive")
+        if not np.all((coeffs > 0) & (coeffs < np.inf)):
+            raise ConfigurationError("quadric coefficients must be positive and finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -166,14 +166,15 @@ def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_
         return {n: PartialCirculantEnsemble(z, omega)}
     # Dense Rademacher: draw one master block of directions at the largest
     # block size; smaller blocks use row- and column-truncated views of it
-    # (prefixes of Rademacher rows are Rademacher).
+    # (prefixes of Rademacher rows are Rademacher), cols[:n, :m] in its
+    # column-major storage.
     n_max = sizes[0]
     m_max = cfg.m_override or required_rows("rademacher", s_block, n_max, b1=cfg.b1)
     master = make_rademacher(m_max, n_max, dir_rng)
     out = {n_max: master}
     for n in sizes[1:]:
         m = cfg.m_override or required_rows("rademacher", s_block, n, b1=cfg.b1)
-        out[n] = RademacherEnsemble(master.rows[:m, :n])
+        out[n] = RademacherEnsemble(cols=master.cols[:n, :m])
     return out
 
 

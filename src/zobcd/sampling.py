@@ -7,6 +7,7 @@ by row/directions, which give the raw sample directions.
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from typing import Protocol
@@ -30,30 +31,40 @@ class MeasurementOperator(Protocol):
 
 
 class RademacherEnsemble:
-    """m x n matrix of i.i.d. +-1 entries, scaled by 1/sqrt(m) on application."""
+    """m x n matrix of i.i.d. +-1 entries, scaled by 1/sqrt(m) on application.
 
-    def __init__(self, rows: np.ndarray):
-        if rows.ndim != 2:
-            raise ConfigurationError("rows must be a 2-D array")
-        self.rows = rows
-        self.m, self.n = rows.shape
+    Stored column-major: ``cols`` is the n x m array whose row c is column c
+    of the matrix, so a column gather reads contiguous memory. The argument
+    is keyword-only, so that a caller passing an m x n array of rows fails
+    instead of getting the transposed ensemble.
+    """
+
+    def __init__(self, *, cols: np.ndarray):
+        if cols.ndim != 2:
+            raise ConfigurationError("cols must be a 2-D array")
+        self.cols = cols
+        self.n, self.m = cols.shape
         self._scale = 1.0 / math.sqrt(self.m)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of dim {self.n}, got {v.shape}")
-        return (self.rows @ v) * self._scale
+        return (self.cols.T @ v) * self._scale
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if y.shape != (self.m,):
             raise ValueError(f"expected vector of dim {self.m}, got {y.shape}")
-        return (self.rows.T @ y) * self._scale
+        return (self.cols @ y) * self._scale
 
     def row(self, i: int) -> np.ndarray:
-        return self.rows[i]
+        return self.cols[:, i]
 
     def directions(self, cols: np.ndarray) -> np.ndarray:
-        return self.rows[:, cols]
+        # A gather of contiguous rows of ``cols``, transposed: an F-ordered
+        # m x |cols| array. Keep that order: BLAS rounds products on C- and
+        # F-ordered copies of one matrix differently, and the fixed-seed
+        # traces depend on it.
+        return self.cols[cols].T
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         return self.directions(idx) * self._scale
@@ -64,7 +75,8 @@ class PartialCirculantEnsemble:
 
     Row i (0-based) is ``j -> z[(i + j) mod n]``; the stored row index set
     omega selects which circulant rows participate. Storage is O(n + m):
-    the generator, its cached FFT, and omega.
+    z concatenated with itself, so that every row is a contiguous slice of
+    it (``z`` is the view of its first half), its cached FFT, and omega.
     """
 
     def __init__(self, z: np.ndarray, omega: np.ndarray):
@@ -75,7 +87,9 @@ class PartialCirculantEnsemble:
             raise ConfigurationError("omega must hold between 1 and n indices")
         if np.unique(omega).size != omega.size or omega.min() < 0 or omega.max() >= n:
             raise ConfigurationError("omega indices must be distinct and in range")
-        self.z = z
+        self._zz = np.concatenate((z, z))
+        self._zz.flags.writeable = False
+        self.z = self._zz[:n]
         self.omega = np.sort(omega)
         self.m = omega.size
         self.n = n
@@ -99,26 +113,54 @@ class PartialCirculantEnsemble:
         return self._correlate(u) * self._scale
 
     def row(self, i: int) -> np.ndarray:
-        return np.roll(self.z, -int(self.omega[i]))
+        o = int(self.omega[i])
+        return self._zz[o : o + self.n]
 
     def directions(self, cols: np.ndarray) -> np.ndarray:
         cols = np.asarray(cols, dtype=np.intp)
-        return self.z[(self.omega[:, None] + cols[None, :]) % self.n]
+        return self._zz[self.omega[:, None] + cols[None, :]]
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         return self.directions(idx) * self._scale
 
     def with_new_omega(self, rng: np.random.Generator) -> "PartialCirculantEnsemble":
-        """Fresh row subset over the same generator (used on block reshuffles)."""
-        omega = rng.choice(self.n, size=self.m, replace=False)
-        return PartialCirculantEnsemble(self.z, omega)
+        """Fresh row subset over the same generator (used on block reshuffles).
+
+        The copy shares the generator and its FFT with this ensemble.
+        """
+        out = copy.copy(self)
+        out.omega = np.sort(rng.choice(self.n, size=self.m, replace=False))
+        return out
+
+
+def _sign_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """The m x n int8 array of 0/1 that ``rng.integers(0, 2, size=(m, n), dtype=np.int8)`` returns.
+
+    numpy draws each of those as the high bit of the next byte of its 32-bit
+    outputs, lowest byte first (Lemire's multiply-shift for a range of 2).
+    So the bits are the high bits of the little-endian bytes of
+    ceil(m*n/4) full-range uint32 draws, read about four times faster. The
+    values, and the generator state left behind, are the same for every bit
+    generator; the fixed-seed traces depend on that.
+    """
+    words = rng.integers(0, 2**32, size=-(-m * n // 4), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.int8)[: m * n]
+    # In place, so the draw holds one byte per sign: an arithmetic shift
+    # leaves -1 where the byte's high bit is set and 0 elsewhere.
+    bits >>= 7
+    return np.negative(bits, out=bits).reshape(m, n)
 
 
 def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsemble:
+    """m x n Rademacher ensemble whose signs are those ``_sign_bits`` draws."""
     if m <= 0 or n <= 0:
         raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
-    rows = (rng.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
-    return RademacherEnsemble(rows)
+    signs = _sign_bits(m, n, rng)
+    signs *= 2
+    signs -= 1
+    cols = np.empty((n, m))
+    cols[...] = signs.T
+    return RademacherEnsemble(cols=cols)
 
 
 def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialCirculantEnsemble:

@@ -127,8 +127,16 @@ def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -
 def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=None) -> SparseVector:
     """CoSaMP recovery of an s-sparse solution to Z v ~= y.
 
+    Each iteration is a deterministic function of the previous estimate
+    (the residual is one too), so once an estimate repeats its predecessor
+    bit for bit, every later iteration would repeat it as well. The solver
+    stops there and returns it: the result is the one ``cfg.n_iters``
+    iterations give.
+
     ``on_iterate(k, estimate, residual_norm)``, when given, observes every
-    iterate; used by diagnostics and tests, never by the solver itself.
+    iterate up to and including the first repeated one, which it sees once;
+    the iterations skipped after it would have shown it again. Used by
+    diagnostics and tests, never by the solver itself.
     """
     n = Z.n
     if y.shape != (Z.m,):
@@ -152,7 +160,8 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
         return SparseVector(keep, w[keep], n)
 
     estimate = SparseVector.empty(n)
-    r = y.copy()
+    r = y.copy()  # the residual of the empty estimate, y - 0
+    rnorm = ynorm
     for k in range(cfg.n_iters):
         proxy = Z.adjoint(r)
         if not np.all(np.isfinite(proxy)):
@@ -163,13 +172,18 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
             break
         w = restricted_lsq(Z, y, merged)
         keep_local = top_k_magnitude(w, cfg.s)
-        estimate = SparseVector(merged[keep_local], w[keep_local], n)
-        r = y - Z.columns(estimate.indices) @ estimate.values
-        if not np.all(np.isfinite(r)):
-            raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")
-        rnorm = float(np.linalg.norm(r))
+        # The kept values are nonzero and not NaN, so == on them is bitwise.
+        repeated = np.array_equal(merged[keep_local], estimate.indices) and np.array_equal(
+            w[keep_local], estimate.values
+        )
+        if not repeated:
+            estimate = SparseVector(merged[keep_local], w[keep_local], n)
+            r = y - Z.columns(estimate.indices) @ estimate.values
+            if not np.all(np.isfinite(r)):
+                raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")
+            rnorm = float(np.linalg.norm(r))
         if on_iterate is not None:
             on_iterate(k, estimate, rnorm)
-        if rnorm <= 1e-12 * ynorm:
+        if repeated or rnorm <= 1e-12 * ynorm:
             break
     return estimate

@@ -65,6 +65,10 @@ BAD_INPUTS = {
     "noise-level-nan": dict(noise={"kind": "gaussian", "level": float("nan")}),
     "noise-level-inf": dict(noise={"kind": "gaussian", "level": float("inf")}),
     "noise-unknown-key": dict(noise={"kind": "gaussian", "lvl": 1e-6}),
+    "x0-scale-nan": dict(x0_scale=float("nan")),
+    "x0-scale-inf": dict(x0_scale=float("inf")),
+    "objective-coeff-nan": dict(objective={"name": "sparse-quadric", "d": 200, "s": 10, "coeff": float("nan")}),
+    "record-timing-string": dict(record_timing="false"),
     "malformed-trace-row": None,
 }
 
@@ -208,6 +212,10 @@ class TestSummarize:
         with pytest.raises(ConfigurationError):
             summarize([], target=None)
 
+    def test_trace_without_records_rejected(self):
+        with pytest.raises(ConfigurationError, match="trace 1 holds no records"):
+            summarize([self.make_trace([1.0]), ConvergenceTrace()], target=None)
+
 
 class TestCli:
     def test_run_and_summarize(self, tmp_path, capsys):
@@ -232,6 +240,13 @@ class TestCli:
         code = main(["summarize", "--in", str(tmp_path)])
         capsys.readouterr()
         assert code == 1
+
+    def test_header_only_trace_exit_code_1(self, tmp_path, capsys):
+        (tmp_path / "trace_000.csv").write_text("iteration,cumulative_queries,f_value,compute_nanos\n")
+        assert main(["summarize", "--in", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        assert "trace_000.csv holds no trace records" in err
 
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         spec_path = write_spec(tmp_path)

@@ -58,6 +58,11 @@ class TestSparseQuadric:
         with pytest.raises(ConfigurationError):
             SparseQuadric(10, np.array([1]), np.array([0.0]))
 
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf])
+    def test_rejects_non_finite_coeffs(self, coeff):
+        with pytest.raises(ConfigurationError):
+            SparseQuadric(10, np.array([1]), np.array([coeff]))
+
 
 class TestMaxSSumSquared:
     def test_reduces_to_half_norm_when_s_equals_d(self):

@@ -222,8 +222,9 @@ class TestUnequalBlocks:
         master, small = ens[31], ens[30]
         assert (master.m, master.n) == (self.rows(31), 31)
         assert (small.m, small.n) == (self.rows(30), 30)
-        assert np.array_equal(small.rows, master.rows[: small.m, :30])
-        assert np.all(np.abs(small.rows) == 1.0)
+        assert np.array_equal(small.cols, master.cols[:30, : small.m])
+        assert np.shares_memory(small.cols, master.cols)  # a view, not a copy
+        assert np.all(np.abs(small.cols) == 1.0)
 
 
 class TestBudgetIsHardCap:

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from zobcd.core import ConfigurationError, RngStreams
 from zobcd.sampling import (
     PartialCirculantEnsemble,
+    RademacherEnsemble,
     make_partial_circulant,
     make_rademacher,
     required_rows,
@@ -26,7 +27,7 @@ def dense_matrix(Z):
 class TestRademacher:
     def test_entries_are_plus_minus_one(self):
         Z = make_rademacher(10, 20, rng())
-        assert np.all(np.isin(Z.rows, (-1.0, 1.0)))
+        assert np.all(np.isin(Z.cols.T, (-1.0, 1.0)))
 
     def test_apply_zero(self):
         Z = make_rademacher(4, 8, rng())
@@ -41,13 +42,82 @@ class TestRademacher:
 
     def test_column_mean_concentration(self):
         Z = make_rademacher(1000, 100, rng(1))
-        assert np.all(np.abs(Z.rows.mean(axis=0)) <= 4 / np.sqrt(1000))
+        assert np.all(np.abs(Z.cols.T.mean(axis=0)) <= 4 / np.sqrt(1000))
 
     def test_bad_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             make_rademacher(0, 8, rng())
         with pytest.raises(ConfigurationError):
             make_rademacher(4, -1, rng())
+
+
+def rademacher_reference(m, n, gen):
+    """The row-major build make_rademacher replaced."""
+    return (gen.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
+
+
+class TestColumnMajorRademacher:
+    SHAPES = [(1, 1), (1, 7), (3, 5), (7, 9), (13, 17), (64, 33), (181, 50)]
+
+    @pytest.mark.parametrize("m, n", SHAPES)
+    def test_build_equals_integers_reference(self, m, n):
+        for seed in range(6):
+            Z = make_rademacher(m, n, np.random.default_rng(seed))
+            assert np.array_equal(Z.cols.T, rademacher_reference(m, n, np.random.default_rng(seed)))
+            assert Z.cols.flags.c_contiguous and Z.cols.shape == (n, m)
+
+    def test_build_equals_reference_on_directions_substreams(self):
+        for seed in range(5):
+            Z = make_rademacher(91, 203, rng(seed))
+            assert np.array_equal(Z.cols.T, rademacher_reference(91, 203, rng(seed)))
+
+    @pytest.mark.parametrize("gen", ["buffered-half", "mt19937"])
+    def test_build_equals_reference_for_any_generator_state(self, gen):
+        def make():
+            if gen == "mt19937":  # its raw outputs are 32 bits wide
+                return np.random.Generator(np.random.MT19937(5))
+            g = np.random.default_rng(5)
+            g.integers(0, 2**32, dtype=np.uint32)  # leaves a 32-bit half buffered
+            return g
+
+        g, g_ref = make(), make()
+        assert np.array_equal(make_rademacher(9, 11, g).cols.T, rademacher_reference(9, 11, g_ref))
+        assert g.random() == g_ref.random()  # and leaves the same state behind
+
+    def test_constructor_takes_columns_by_keyword_only(self):
+        Z = make_rademacher(6, 10, rng(2))
+        with pytest.raises(TypeError):
+            RademacherEnsemble(Z.cols.T)
+        assert (RademacherEnsemble(cols=Z.cols).m, RademacherEnsemble(cols=Z.cols).n) == (6, 10)
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_directions_equal_row_major_gather(self, truncate):
+        Z = master = make_rademacher(40, 90, rng(3))
+        if truncate:  # a smaller block's view of the master, as ZO-BCD-R builds it
+            Z = RademacherEnsemble(cols=master.cols[:70, :31])
+            assert (Z.m, Z.n) == (31, 70) and np.shares_memory(Z.cols, master.cols)
+        rows = np.ascontiguousarray(Z.cols.T)
+        cols = rng(4).choice(Z.n, size=17, replace=False)
+        for idx in (cols, np.sort(cols), np.arange(Z.n)):
+            assert np.array_equal(Z.directions(idx), rows[:, idx])
+            assert np.array_equal(Z.columns(idx), rows[:, idx] * (1.0 / math.sqrt(Z.m)))
+            # the same memory order too: BLAS products on it round the same way
+            assert Z.columns(idx).strides == (rows[:, idx] * 1.0).strides
+        assert Z.directions(np.empty(0, dtype=np.intp)).shape == (Z.m, 0)
+        for i in range(Z.m):
+            assert np.array_equal(Z.row(i), rows[i])
+
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_products_match_row_major(self, truncate):
+        Z = make_rademacher(60, 150, rng(5))
+        if truncate:
+            Z = RademacherEnsemble(cols=Z.cols[:110, :45])
+        rows = np.ascontiguousarray(Z.cols.T) / np.sqrt(Z.m)
+        gen = rng(6)
+        for _ in range(20):
+            v, y = gen.standard_normal(Z.n), gen.standard_normal(Z.m)
+            np.testing.assert_allclose(Z.apply(v), rows @ v, rtol=1e-12, atol=1e-12 * np.abs(v).sum())
+            np.testing.assert_allclose(Z.adjoint(y), rows.T @ y, rtol=1e-12, atol=1e-12 * np.abs(y).sum())
 
 
 class TestPartialCirculant:
@@ -99,10 +169,26 @@ class TestPartialCirculant:
         with pytest.raises(ConfigurationError):
             make_partial_circulant(50, 10, rng())
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (96, 24), (1000, 40)])
+    def test_rows_and_directions_equal_roll_reference(self, n, m):
+        Z = make_partial_circulant(m, n, rng(n))
+        for i in range(m):
+            assert np.array_equal(Z.row(i), np.roll(Z.z, -int(Z.omega[i])))
+        cols = rng(n + 1).choice(n, size=min(n, 9), replace=False)
+        reference = np.stack([np.roll(Z.z, -int(o))[cols] for o in Z.omega])
+        assert np.array_equal(Z.directions(cols), reference)
+
+    def test_rows_cannot_write_the_generator(self):
+        Z = make_partial_circulant(4, 16, rng(9))
+        with pytest.raises(ValueError):
+            Z.row(1)[0] = 5.0
+        with pytest.raises(ValueError):
+            Z.z[0] = 5.0
+
     def test_with_new_omega_keeps_generator(self):
         Z = make_partial_circulant(16, 256, rng(7))
         Z2 = Z.with_new_omega(rng(8))
-        assert Z2.z is Z.z
+        assert Z2.z is Z.z and Z2._zf is Z._zf  # a reshuffle copies nothing
         assert Z2.m == Z.m
         assert not np.array_equal(Z2.omega, Z.omega)
 

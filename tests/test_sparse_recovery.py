@@ -236,3 +236,77 @@ class TestCosamp:
         with pytest.warns(UserWarning, match="full least squares"):
             est = cosamp(Z, Z.apply(g), CosampConfig(s=10))
         assert est.nnz <= 10
+
+
+def cosamp_without_exit(Z, y, cfg, on_iterate=None):
+    """CoSaMP as it ran before the fixed-point exit: n_iters iterations,
+    unless the residual falls below 1e-12 * ||y|| first."""
+    ynorm = float(np.linalg.norm(y))
+    estimate = SparseVector.empty(Z.n)
+    r = y.copy()
+    for k in range(cfg.n_iters):
+        candidates = top_k_magnitude(Z.adjoint(r), 2 * cfg.s)
+        merged = np.union1d(estimate.indices, candidates)
+        if merged.size == 0:
+            break
+        w = restricted_lsq(Z, y, merged)
+        keep_local = top_k_magnitude(w, cfg.s)
+        estimate = SparseVector(merged[keep_local], w[keep_local], Z.n)
+        r = y - Z.columns(estimate.indices) @ estimate.values
+        rnorm = float(np.linalg.norm(r))
+        if on_iterate is not None:
+            on_iterate(k, estimate, rnorm)
+        if rnorm <= 1e-12 * ynorm:
+            break
+    return estimate
+
+
+def recorder(calls):
+    return lambda k, est, rnorm: calls.append((k, est.indices.tobytes(), est.values.tobytes(), rnorm))
+
+
+class TestFixedPointExit:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(12, 160),
+        s=st.integers(1, 6),
+        rows=st.floats(0.2, 1.0),
+        noise=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
+        n_iters=st.integers(1, 14),
+        circulant=st.booleans(),
+    )
+    def test_equals_running_every_iteration(self, seed, n, s, rows, noise, n_iters, circulant):
+        s = min(s, (n - 1) // 2)
+        m = max(s + 1, int(rows * n))
+        gen = rng(seed)
+        Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+        g = np.zeros(n)
+        g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
+        y = Z.apply(g) + noise * gen.standard_normal(m)
+        cfg = CosampConfig(s=s, n_iters=n_iters)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # underdetermined fits at small m
+            got = cosamp(Z, y, cfg)
+            ref = cosamp_without_exit(Z, y, cfg)
+            calls, ref_calls = [], []
+            observed = cosamp(Z, y, cfg, on_iterate=recorder(calls))
+            cosamp_without_exit(Z, y, cfg, on_iterate=recorder(ref_calls))
+        for est in (got, observed):
+            assert est.dim == ref.dim
+            assert est.indices.tobytes() == ref.indices.tobytes()
+            assert est.values.tobytes() == ref.values.tobytes()
+        # on_iterate sees a prefix of the full run; what it misses repeats
+        # the last iterate it saw
+        assert calls == ref_calls[: len(calls)]
+        assert all(c[1:] == calls[-1][1:] for c in ref_calls[len(calls) :])
+
+    def test_stops_at_a_repeated_iterate(self):
+        Z, g, _ = planted_instance(200, 6, 60, seed=8)
+        y = Z.apply(g) + 0.05 * rng(9).standard_normal(60)
+        cfg = CosampConfig(s=6, n_iters=10)
+        calls, ref_calls = [], []
+        cosamp(Z, y, cfg, on_iterate=recorder(calls))
+        cosamp_without_exit(Z, y, cfg, on_iterate=recorder(ref_calls))
+        assert len(calls) < len(ref_calls) == 10
+        assert calls[-1][1:] == calls[-2][1:]  # the first repeat is reported once
