@@ -7,6 +7,7 @@ sequences), matching hand-tuned fixed-step comparisons.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ class BaselineConfig:
 
 def run_fdsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
     """Kiefer-Wolfowitz finite differences: d + 1 queries per iteration."""
-    d = x0.size
+    d, delta = x0.size, cfg.delta
 
     def iterate(x, k, remaining):
         if remaining < d + 1:
@@ -42,8 +43,8 @@ def run_fdsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
         g = np.empty(d)
         for i in range(d):  # probe coordinate i of x in place, then restore it
             xi = x[i]
-            x[i] = xi + cfg.delta
-            g[i] = (oracle.eval(x) - base) / cfg.delta
+            x[i] = xi + delta
+            g[i] = (oracle.eval(x) - base) / delta
             x[i] = xi
         if not np.all(np.isfinite(g)):
             raise NumericalFailure("non-finite FDSA gradient estimate")
@@ -59,44 +60,59 @@ def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
     method's canonical form, unlike the forward differences used elsewhere
     in this package.
     """
-    d = x0.size
+    d, alpha, delta = x0.size, cfg.alpha, cfg.delta
     rng = RngStreams(cfg.seed).substream("directions")
 
     def iterate(x, k, remaining):
         if remaining < 2:
             return None
-        z = (rng.integers(0, 2, size=d, dtype=np.int8) * 2 - 1).astype(np.float64)
-        fp = oracle.eval(x + cfg.delta * z)
-        fm = oracle.eval(x - cfg.delta * z)
-        slope = (fp - fm) / (2.0 * cfg.delta)
-        if not np.isfinite(slope):
+        z = rng.integers(0, 2, size=d, dtype=np.int8)  # the +-1 direction, as int8
+        z *= 2
+        z -= 1
+        dz = delta * z
+        probe = x + dz
+        fp = oracle.eval(probe)
+        fm = oracle.eval(np.subtract(x, dz, out=probe))
+        slope = (fp - fm) / (2.0 * delta)
+        if not math.isfinite(slope):
             raise NumericalFailure("non-finite SPSA directional derivative")
-        return x - cfg.alpha * slope * z, 0.5 * (fp + fm)
+        x -= np.multiply(alpha * slope, z, out=dz)  # x - (alpha * slope) * z, in place
+        return x, 0.5 * (fp + fm)
 
     return drive(oracle, x0, iterate, cfg, report_f)
 
 
 def run_zoscd(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
     """Single-coordinate descent: forward difference on one random coordinate."""
-    d = x0.size
-    rng = RngStreams(cfg.seed).substream("block_choice")
+    alpha, delta = cfg.alpha, cfg.delta
+    coords = _coordinates(RngStreams(cfg.seed).substream("block_choice"), x0.size)
 
     def iterate(x, k, remaining):
         if remaining < 2:
             return None
-        i = int(rng.integers(d))
+        i = next(coords)
         base = oracle.eval(x)
         xi = x[i]
-        x[i] = xi + cfg.delta  # probe and step in place: O(1) work besides the queries
+        x[i] = xi + delta  # probe and step in place: O(1) work besides the queries
         probe = oracle.eval(x)
-        x[i] = xi
-        gi = (probe - base) / cfg.delta
-        if not np.isfinite(gi):
+        gi = (probe - base) / delta
+        if not math.isfinite(gi):
+            x[i] = xi
             raise NumericalFailure("non-finite coordinate derivative")
-        x[i] -= cfg.alpha * gi
+        x[i] = xi - alpha * gi
         return x, base
 
     return drive(oracle, x0, iterate, cfg, report_f)
+
+
+def _coordinates(rng: np.random.Generator, d: int):
+    """Endless uniform draws from range(d), as Python ints.
+
+    They are drawn 1,024 at a time, which returns the same sequence as one
+    scalar ``rng.integers(d)`` call per draw, at a fraction of the cost.
+    """
+    while True:
+        yield from rng.integers(d, size=1024).tolist()
 
 
 # The one list of baseline methods. Runners are looked up by name at call time,

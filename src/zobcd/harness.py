@@ -123,16 +123,13 @@ def run_single(spec: ExperimentSpec, run_seed: int) -> RunResult:
 
 
 def _write_trace(trace: ConvergenceTrace, path: Path, fmt: str, record_timing: bool):
-    rows = [
-        (r.iteration, r.cumulative_queries, r.f_value, r.compute_nanos if record_timing else 0)
-        for r in trace.records
-    ]
     if fmt == "csv":
-        lines = [",".join(TRACE_COLUMNS)]
-        lines += [f"{it},{q},{repr(f)},{ns}" for it, q, f, ns in rows]
-        path.write_text("\n".join(lines) + "\n")
+        lines = [f"{it},{q},{f!r},{ns if record_timing else 0}\n" for it, q, f, ns in trace.records]
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + "".join(lines))
     else:
-        doc = [dict(zip(TRACE_COLUMNS, row)) for row in rows]
+        doc = [
+            dict(zip(TRACE_COLUMNS, (it, q, f, ns if record_timing else 0))) for it, q, f, ns in trace.records
+        ]
         path.write_text(json.dumps(doc, indent=1) + "\n")
 
 

@@ -64,7 +64,9 @@ class SparseQuadric:
         return float(np.bincount(block_of, weights=self.coeffs, minlength=p.J).max())
 
     def eval(self, x: np.ndarray) -> float:
-        return 0.5 * float(self.coeffs @ x[self.support] ** 2)
+        v = x[self.support]  # a copy, so squaring it in place is safe
+        v *= v
+        return 0.5 * float(self.coeffs.dot(v))
 
     def eval_block(self, x: np.ndarray, idx: np.ndarray, Z, delta: float) -> np.ndarray:
         xs = np.repeat(x[self.support][None, :], Z.m, axis=0)

@@ -121,16 +121,19 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
     """
     x = x0.copy()
     trace = ConvergenceTrace()
+    append, clock = trace.append, time.perf_counter_ns
+    budget, target = limits.budget, limits.target
+    max_iters = math.inf if limits.max_iters is None else limits.max_iters
     q0 = oracle.query_count
     if report_f is not None:
-        trace.append(0, 0, report_f(x), 0)
+        append(0, 0, report_f(x), 0)
     termination = TERM_BUDGET
     k = 0
-    while limits.max_iters is None or k < limits.max_iters:
-        t0 = time.perf_counter_ns()
+    while k < max_iters:
+        t0 = clock()
         en0 = oracle.eval_nanos
         try:
-            out = iterate(x, k + 1, limits.budget - (oracle.query_count - q0))
+            out = iterate(x, k + 1, budget - (oracle.query_count - q0))
         except NumericalFailure:
             termination = TERM_FAILURE
             break
@@ -138,10 +141,10 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
             break
         k += 1
         x, noisy_f = out
-        nanos = (time.perf_counter_ns() - t0) - (oracle.eval_nanos - en0)
-        f_rep = report_f(x) if report_f is not None else noisy_f
-        trace.append(k, oracle.query_count - q0, f_rep, nanos)
-        if limits.target is not None and f_rep <= limits.target:
+        nanos = (clock() - t0) - (oracle.eval_nanos - en0)
+        f_rep = noisy_f if report_f is None else report_f(x)
+        append(k, oracle.query_count - q0, f_rep, nanos)
+        if target is not None and f_rep <= target:
             termination = TERM_TARGET
             break
     if len(trace) == 0:

@@ -24,6 +24,7 @@ class MeasurementOperator(Protocol):
     n: int
 
     def row(self, i: int) -> np.ndarray: ...  # unscaled +-1 sample direction
+    def row_block(self, start: int, stop: int) -> np.ndarray: ...  # unscaled rows start..stop-1
     def directions(self, cols: np.ndarray) -> np.ndarray: ...  # unscaled m x |cols| gather
     def apply(self, v: np.ndarray) -> np.ndarray: ...  # scaled forward product
     def adjoint(self, y: np.ndarray) -> np.ndarray: ...  # scaled transpose product
@@ -40,6 +41,10 @@ class RademacherEnsemble:
     """
 
     def __init__(self, *, cols: np.ndarray):
+        # float64 already for make_rademacher's array and the views of it,
+        # which stay views; an integer sign matrix is converted once here, so
+        # the scaling done in place on its gathered copies stays float.
+        cols = np.asarray(cols, dtype=np.float64)
         if cols.ndim != 2:
             raise ConfigurationError("cols must be a 2-D array")
         self.cols = cols
@@ -59,6 +64,11 @@ class RademacherEnsemble:
     def row(self, i: int) -> np.ndarray:
         return self.cols[:, i]
 
+    def row_block(self, start: int, stop: int) -> np.ndarray:
+        # Copy out the contiguous pieces first and transpose that small copy:
+        # a transposing copy straight from ``cols`` strides across it per row.
+        return self.cols[:, start:stop].copy().T.copy()
+
     def directions(self, cols: np.ndarray) -> np.ndarray:
         # A gather of contiguous rows of ``cols``, transposed: an F-ordered
         # m x |cols| array. Keep that order: BLAS rounds products on C- and
@@ -67,7 +77,10 @@ class RademacherEnsemble:
         return self.cols[cols].T
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
-        return self.directions(idx) * self._scale
+        # Scaled in the gathered copy, which is the F-ordered directions(idx).
+        out = self.cols[idx]
+        out *= self._scale
+        return out.T
 
 
 class PartialCirculantEnsemble:
@@ -115,6 +128,9 @@ class PartialCirculantEnsemble:
     def row(self, i: int) -> np.ndarray:
         o = int(self.omega[i])
         return self._zz[o : o + self.n]
+
+    def row_block(self, start: int, stop: int) -> np.ndarray:
+        return self._zz[self.omega[start:stop, None] + np.arange(self.n)]
 
     def directions(self, cols: np.ndarray) -> np.ndarray:
         cols = np.asarray(cols, dtype=np.intp)

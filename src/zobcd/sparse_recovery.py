@@ -128,15 +128,16 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     """CoSaMP recovery of an s-sparse solution to Z v ~= y.
 
     Each iteration is a deterministic function of the previous estimate
-    (the residual is one too), so once an estimate repeats its predecessor
-    bit for bit, every later iteration would repeat it as well. The solver
-    stops there and returns it: the result is the one ``cfg.n_iters``
-    iterations give.
+    (the residual is one too). An iteration whose merged support equals the
+    previous one's would fit the same least squares again, so its estimate
+    repeats its predecessor bit for bit, and so would every later one. The
+    solver stops there, without that solve, and returns the estimate: the
+    result is the one ``cfg.n_iters`` iterations give.
 
     ``on_iterate(k, estimate, residual_norm)``, when given, observes every
-    iterate up to and including the first repeated one, which it sees once;
-    the iterations skipped after it would have shown it again. Used by
-    diagnostics and tests, never by the solver itself.
+    iterate up to and including the repeated one; the iterations skipped
+    after it would have shown it again. Used by diagnostics and tests, never
+    by the solver itself.
     """
     n = Z.n
     if y.shape != (Z.m,):
@@ -162,6 +163,7 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     estimate = SparseVector.empty(n)
     r = y.copy()  # the residual of the empty estimate, y - 0
     rnorm = ynorm
+    fitted = None  # the support of the last least-squares fit
     for k in range(cfg.n_iters):
         proxy = Z.adjoint(r)
         if not np.all(np.isfinite(proxy)):
@@ -170,13 +172,13 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
-        w = restricted_lsq(Z, y, merged)
-        keep_local = top_k_magnitude(w, cfg.s)
-        # The kept values are nonzero and not NaN, so == on them is bitwise.
-        repeated = np.array_equal(merged[keep_local], estimate.indices) and np.array_equal(
-            w[keep_local], estimate.values
-        )
+        # A fit on the last fit's support would return that fit again, and its
+        # top s is the current estimate: the estimate repeats without a solve.
+        repeated = fitted is not None and np.array_equal(merged, fitted)
         if not repeated:
+            fitted = merged
+            w = restricted_lsq(Z, y, merged)
+            keep_local = top_k_magnitude(w, cfg.s)
             estimate = SparseVector(merged[keep_local], w[keep_local], n)
             r = y - Z.columns(estimate.indices) @ estimate.values
             if not np.all(np.isfinite(r)):

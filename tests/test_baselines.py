@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zobcd.core import ConfigurationError, NoiseModel, RngStreams, make_noisy_oracle
-from zobcd.baselines import BaselineConfig, run_baseline, run_fdsa, run_spsa, run_zoscd
+from zobcd.baselines import BaselineConfig, _coordinates, run_baseline, run_fdsa, run_spsa, run_zoscd
 from zobcd.objectives import SparseQuadric
 from zobcd.optimizer import TERM_BUDGET, TERM_TARGET
 
@@ -112,6 +112,20 @@ class TestZoscd:
         assert oracle.query_count == 2
         changed = np.nonzero(res.x_final != x0)[0]
         assert changed.size <= 1
+
+    @pytest.mark.parametrize("d", [1, 2, 7, 20000])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_draws_equal_scalar_draws(self, seed, d):
+        # the coordinates ZO-SCD draws 1,024 at a time are those of one scalar
+        # rng.integers(d) call per iteration, and so is any other cut of them
+        n = 3000
+        scalar_rng = RngStreams(seed).substream("block_choice")
+        scalar = [int(scalar_rng.integers(d)) for _ in range(n)]
+        coords = _coordinates(RngStreams(seed).substream("block_choice"), d)
+        assert [next(coords) for _ in range(n)] == scalar
+        for cuts in ([1, 2, 3, 1024, 1970], [1000, 1000, 1000], [7] * 428 + [4]):
+            block_rng = RngStreams(seed).substream("block_choice")
+            assert [i for c in cuts for i in block_rng.integers(d, size=c).tolist()] == scalar
 
     def test_descends_on_quadric(self):
         q, x0 = make_quadric(30, 6)

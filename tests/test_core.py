@@ -1,3 +1,4 @@
+import inspect
 import time
 
 import numpy as np
@@ -7,7 +8,9 @@ from zobcd.core import (
     ConfigurationError,
     ConvergenceTrace,
     NoiseModel,
+    Oracle,
     RngStreams,
+    TraceRecord,
     make_noisy_oracle,
 )
 from zobcd.objectives import MaxSSumSquared, SparseQuadric
@@ -104,6 +107,40 @@ class TestEvalBlock:
         assert oracle.query_count == 1 + Z.m
         assert np.array_equal(got, _sequential(f, noise, x, idx, Z, 0.05, skip=1))
 
+    @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.kind)
+    @pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
+    def test_plain_callable_across_row_blocks(self, noise, circulant):
+        # at n = 20000 the per-row path builds its probes 6 rows at a time, so
+        # m = 20 crosses three block boundaries and ends on a partial block
+        gen = np.random.default_rng(7)
+        d, n, m = 20_500, 20_000, 20
+        idx = gen.permutation(d)[:n]
+        Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+        x = gen.standard_normal(d)
+        f = lambda v: float(np.sin(v).sum())
+        oracle = make_noisy_oracle(f, noise, RngStreams(3))
+        oracle.eval(x)
+        got = oracle.eval_block(x, idx, Z, 0.05)
+        assert oracle.query_count == 1 + m
+        assert np.array_equal(got, _sequential(f, noise, x, idx, Z, 0.05, skip=1))
+
+    def test_plain_callable_with_integer_rows(self):
+        # an operator whose row_block gives integer signs still probes in float
+        x, idx, Z = _block_case(2, False)
+
+        class IntegerRows:
+            m, n = Z.m, Z.n
+
+            def row(self, i):
+                return Z.row(i).astype(np.int8)
+
+            def row_block(self, start, stop):
+                return Z.row_block(start, stop).astype(np.int8)
+
+        f = lambda v: float(np.sin(v).sum())
+        got = make_noisy_oracle(f, NoiseModel.none(), RngStreams(3)).eval_block(x, idx, IntegerRows(), 0.05)
+        assert np.array_equal(got, _sequential(f, NoiseModel.none(), x, idx, Z, 0.05))
+
     def test_objective_batch_path_is_used(self):
         # the oracle hands the batch to the objective behind a bound eval,
         # and loops over rows for any other callable
@@ -140,6 +177,18 @@ class TestEvalBlock:
         oracle.eval_block(x, idx, Z, 0.1)
         wall = time.perf_counter_ns() - t0
         assert Z.m * 1e6 <= oracle.eval_nanos <= wall
+
+
+def test_query_methods_are_plain_functions_in_the_class_dict():
+    # profilers and the benchmark rebind them on the class to see every query
+    for name in ("eval", "eval_block"):
+        assert inspect.isfunction(Oracle.__dict__[name])
+
+
+def test_negative_zero_value_reads_as_zero():
+    oracle = make_noisy_oracle(lambda x: -0.0, NoiseModel.none(), RngStreams(0))
+    value = oracle.eval(np.zeros(1))
+    assert value == 0.0 and np.copysign(1.0, value) == 1.0
 
 
 def test_negative_noise_level_rejected():
@@ -182,6 +231,19 @@ def test_trace_requires_increasing_queries():
     trace.append(1, 10, 0.5, 100)
     with pytest.raises(ValueError):
         trace.append(2, 10, 0.25, 100)
+
+
+def test_trace_record_fields_and_immutability():
+    trace = ConvergenceTrace()
+    trace.append(3, 7, np.float64(0.25), 11)
+    (rec,) = trace.records
+    assert TraceRecord._fields == ("iteration", "cumulative_queries", "f_value", "compute_nanos")
+    assert tuple(rec) == (3, 7, 0.25, 11)
+    assert (rec.iteration, rec.cumulative_queries, rec.f_value, rec.compute_nanos) == (3, 7, 0.25, 11)
+    assert type(rec.f_value) is float
+    for field in TraceRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0)
 
 
 def test_trace_arrays():

@@ -9,6 +9,7 @@ from zobcd.core import ConfigurationError, ConvergenceTrace
 from zobcd.cli import main
 from zobcd.harness import (
     ExperimentSpec,
+    _write_trace,
     read_trace,
     run_experiment,
     run_single,
@@ -165,6 +166,25 @@ class TestTraceFiles:
         run_experiment(spec, out)
         trace = read_trace(out / "trace_000.csv")
         assert all(r.compute_nanos == 0 for r in trace.records)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("record_timing", [True, False])
+    def test_trace_bytes_equal_the_row_by_row_format(self, tmp_path, fmt, record_timing):
+        trace = ConvergenceTrace()
+        for k, f in enumerate([2.5, 1e-300, 0.1 + 0.2, 123456789.125, float("nan")]):
+            trace.append(k, 3 * k + 1, f, 1000 + k)
+        path = tmp_path / f"t.{fmt}"
+        _write_trace(trace, path, fmt, record_timing)
+        rows = [(r.iteration, r.cumulative_queries, r.f_value, r.compute_nanos if record_timing else 0)
+                for r in trace.records]
+        if fmt == "csv":
+            lines = ["iteration,cumulative_queries,f_value,compute_nanos"]
+            lines += [f"{it},{q},{repr(f)},{ns}" for it, q, f, ns in rows]
+            expected = "\n".join(lines) + "\n"
+        else:
+            keys = ("iteration", "cumulative_queries", "f_value", "compute_nanos")
+            expected = json.dumps([dict(zip(keys, row)) for row in rows], indent=1) + "\n"
+        assert path.read_bytes() == expected.encode()
 
     def test_repeated_run_is_byte_identical(self, tmp_path):
         spec = ExperimentSpec(**SPEC_DOC)

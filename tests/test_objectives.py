@@ -23,6 +23,18 @@ def central_diff(f, x, h=1e-6):
 
 
 class TestSparseQuadric:
+    def test_eval_equals_square_then_dot_bit_for_bit(self):
+        # eval squares a copy in place and takes one dot product: the value
+        # of coeffs @ x[support] ** 2, which the fixed-seed traces pin
+        gen = rng(12)
+        for d, s in [(1, 1), (9, 4), (300, 37), (20000, 200)]:
+            q = SparseQuadric(d, gen.choice(d, size=s, replace=False), gen.uniform(0.1, 10.0, size=s))
+            for scale in (1e-150, 1e-3, 1.0, 1e6, 1e150):
+                x = scale * gen.standard_normal(d)
+                x_before = x.copy()
+                assert q.eval(x) == 0.5 * float(q.coeffs @ x[q.support] ** 2)
+                assert np.array_equal(x, x_before)
+
     def test_minimum_at_origin(self):
         q = SparseQuadric.random(20, 5, rng())
         assert q.eval(np.zeros(20)) == 0.0

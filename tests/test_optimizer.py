@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zobcd.core import ConfigurationError, NoiseModel, RngStreams, make_noisy_oracle
+from zobcd.core import ConfigurationError, NoiseModel, Oracle, RngStreams, make_noisy_oracle
 from zobcd.baselines import BaselineConfig, run_baseline
 from zobcd.blocks import random_partition
 from zobcd.harness import METHOD_NAMES
@@ -273,3 +273,58 @@ class TestBudgetIsHardCap:
         assert res.trace.records[-1].cumulative_queries == oracle.query_count
         assert res.termination == TERM_BUDGET
         assert np.array_equal(x0, x0_before)
+
+
+class OneShotSpy:
+    """Wraps ``Oracle.<name>`` on the class for one call, then puts it back.
+
+    Built like the benchmark's first-query timer: a loop that bound the
+    method once and reused it would keep calling the spy.
+    """
+
+    def __init__(self, name):
+        self.name, self.calls = name, 0
+
+    def __enter__(self):
+        orig = self.orig = Oracle.__dict__[self.name]
+
+        def once(oracle, *args):
+            self.calls += 1
+            setattr(Oracle, self.name, orig)
+            return orig(oracle, *args)
+
+        setattr(Oracle, self.name, once)
+        return self
+
+    def __exit__(self, *exc):
+        setattr(Oracle, self.name, self.orig)
+
+
+class TestQueriesGoThroughTheClass:
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_one_shot_spy_fires_once_and_changes_nothing(self, method):
+        def run():
+            d = 60
+            gen = np.random.default_rng(5)
+            q = SparseQuadric.random(d, 3, gen)
+            x0 = gen.standard_normal(d)
+            oracle = make_noisy_oracle(q.eval, NoiseModel.gaussian(1e-6), RngStreams(5))
+            if method.startswith("zobcd"):
+                variant = "R" if method == "zobcd-r" else "RC"
+                cfg = ZobcdConfig(variant=variant, d=d, J=3, s=3, alpha=0.5, delta=1e-3, budget=2000, seed=5)
+                res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
+            else:
+                cfg = BaselineConfig(method=method, alpha=0.1, delta=1e-3, budget=2000, seed=5)
+                res = run_baseline(oracle, x0, cfg, report_f=q.eval)
+            return [r[:3] for r in res.trace.records], res.x_final
+
+        ref_records, ref_x = run()
+        assert len(ref_records) > 3
+        names = ["eval", "eval_block"] if method.startswith("zobcd") else ["eval"]
+        for name in names:
+            with OneShotSpy(name) as spy:
+                records, x = run()
+            assert spy.calls == 1
+            assert Oracle.__dict__[name] is spy.orig
+            assert records == ref_records
+            assert np.array_equal(x, ref_x)

@@ -13,6 +13,7 @@ from zobcd.sampling import (
     make_rademacher,
     required_rows,
 )
+from zobcd.sparse_recovery import CosampConfig, cosamp
 
 
 def rng(seed=0):
@@ -90,6 +91,24 @@ class TestColumnMajorRademacher:
             RademacherEnsemble(Z.cols.T)
         assert (RademacherEnsemble(cols=Z.cols).m, RademacherEnsemble(cols=Z.cols).n) == (6, 10)
 
+    def test_integer_signs_give_the_float_ensemble(self):
+        # columns and the fallback probes scale gathered copies in place,
+        # which an integer array could not hold
+        Z = make_rademacher(30, 80, rng(11))
+        Zi = RademacherEnsemble(cols=Z.cols.astype(np.int8))
+        assert Zi.cols.dtype == np.float64
+        assert RademacherEnsemble(cols=Z.cols).cols is Z.cols  # float64 is not copied
+        idx = rng(12).choice(Z.n, size=13, replace=False)
+        assert Zi.columns(idx).tobytes(order="F") == Z.columns(idx).tobytes(order="F")
+        assert Zi.columns(idx).flags.f_contiguous
+        assert np.array_equal(Zi.row_block(3, 17), Z.row_block(3, 17))
+        assert Zi.row_block(3, 17).dtype == np.float64
+        y = Z.apply(np.eye(Z.n)[5])
+        est = cosamp(Zi, y, CosampConfig(s=1))
+        ref = cosamp(Z, y, CosampConfig(s=1))
+        assert est.indices.tobytes() == ref.indices.tobytes()
+        assert est.values.tobytes() == ref.values.tobytes()
+
     @pytest.mark.parametrize("truncate", [False, True])
     def test_directions_equal_row_major_gather(self, truncate):
         Z = master = make_rademacher(40, 90, rng(3))
@@ -103,6 +122,10 @@ class TestColumnMajorRademacher:
             assert np.array_equal(Z.columns(idx), rows[:, idx] * (1.0 / math.sqrt(Z.m)))
             # the same memory order too: BLAS products on it round the same way
             assert Z.columns(idx).strides == (rows[:, idx] * 1.0).strides
+            # scaled in one gathered array, bit for bit the scaled directions
+            A = Z.columns(idx)
+            assert A.flags.f_contiguous and not np.shares_memory(A, Z.cols)
+            assert A.tobytes(order="F") == (Z.directions(idx) * (1.0 / math.sqrt(Z.m))).tobytes(order="F")
         assert Z.directions(np.empty(0, dtype=np.intp)).shape == (Z.m, 0)
         for i in range(Z.m):
             assert np.array_equal(Z.row(i), rows[i])
@@ -191,6 +214,19 @@ class TestPartialCirculant:
         assert Z2.z is Z.z and Z2._zf is Z._zf  # a reshuffle copies nothing
         assert Z2.m == Z.m
         assert not np.array_equal(Z2.omega, Z.omega)
+
+
+@pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
+def test_row_block_equals_stacked_rows(circulant):
+    Z = make_partial_circulant(23, 57, rng(8)) if circulant else make_rademacher(23, 57, rng(8))
+    if not circulant:  # also a truncated view of a master, as ZO-BCD-R builds it
+        Z = RademacherEnsemble(cols=Z.cols[:50, :21])
+    for start, stop in [(0, Z.m), (0, 1), (4, 11), (Z.m - 1, Z.m), (3, 3)]:
+        block = Z.row_block(start, stop)
+        assert block.shape == (stop - start, Z.n)
+        assert np.array_equal(block, np.array([Z.row(i) for i in range(start, stop)]).reshape(-1, Z.n))
+        block[...] = 7.0  # a new array: writing it changes no direction
+    assert not np.any(np.array([Z.row(i) for i in range(Z.m)]) == 7.0)
 
 
 class TestAdjointAndLinearity:

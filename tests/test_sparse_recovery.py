@@ -310,3 +310,53 @@ class TestFixedPointExit:
         cosamp_without_exit(Z, y, cfg, on_iterate=recorder(ref_calls))
         assert len(calls) < len(ref_calls) == 10
         assert calls[-1][1:] == calls[-2][1:]  # the first repeat is reported once
+
+
+class TestRepeatedSupportSkipsTheSolve:
+    @staticmethod
+    def solves_per_call(monkeypatch, runs):
+        """The supports each cosamp call in ``runs`` hands to restricted_lsq."""
+        import zobcd.sparse_recovery as sr
+
+        supports = []
+        real = sr.restricted_lsq
+
+        def spy(Z, y, support):
+            supports[-1].append(np.asarray(support).copy())
+            return real(Z, y, support)
+
+        monkeypatch.setattr(sr, "restricted_lsq", spy)
+        for run in runs:
+            supports.append([])
+            run()
+        return supports
+
+    def test_no_solve_receives_its_predecessors_support(self, monkeypatch):
+        runs = []
+        for seed in range(40):
+            circulant = seed % 2 == 1
+            gen = rng(seed)
+            n, s = 120, 4
+            m = 30 + seed
+            Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+            g = np.zeros(n)
+            g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
+            y = Z.apply(g) + [0.0, 1e-3, 0.05, 0.5][seed % 4] * gen.standard_normal(m)
+            runs.append(lambda Z=Z, y=y, s=s: cosamp(Z, y, CosampConfig(s=s, n_iters=12)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            per_call = self.solves_per_call(monkeypatch, runs)
+        for supports in per_call:
+            assert all(not np.array_equal(a, b) for a, b in zip(supports, supports[1:]))
+
+    def test_the_repeated_iteration_makes_no_solve(self, monkeypatch):
+        # the instance of test_stops_at_a_repeated_iterate: every iteration
+        # seen solves once, except the last, which repeats its predecessor
+        Z, g, _ = planted_instance(200, 6, 60, seed=8)
+        y = Z.apply(g) + 0.05 * rng(9).standard_normal(60)
+        calls = []
+        (supports,) = self.solves_per_call(
+            monkeypatch, [lambda: cosamp(Z, y, CosampConfig(s=6, n_iters=10), on_iterate=recorder(calls))]
+        )
+        assert calls[-1][1:] == calls[-2][1:]
+        assert len(supports) == len(calls) - 1
