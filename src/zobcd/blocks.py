@@ -1,4 +1,4 @@
-"""Randomized coordinate block partitions and block/ambient transfer maps."""
+"""Randomized coordinate block partitions."""
 
 from __future__ import annotations
 
@@ -55,23 +55,6 @@ def random_partition(d: int, J: int, rng: np.random.Generator) -> BlockPartition
     return BlockPartition(perm, sizes, offsets)
 
 
-def restrict(x: np.ndarray, p: BlockPartition, j: int) -> np.ndarray:
-    """Block-j coordinates of x, in partition order."""
-    if x.shape != (p.d,):
-        raise ValueError(f"expected ambient vector of dim {p.d}, got {x.shape}")
-    return x[p.block_indices(j)]
-
-
-def lift(t: np.ndarray, p: BlockPartition, j: int) -> np.ndarray:
-    """Ambient vector with t at block j's coordinates, zeros elsewhere."""
-    idx = p.block_indices(j)
-    if t.shape != (idx.size,):
-        raise ValueError(f"expected block vector of dim {idx.size}, got {t.shape}")
-    out = np.zeros(p.d)
-    out[idx] = t
-    return out
-
-
 def block_sparsity_histogram(g: SparseVector, p: BlockPartition) -> np.ndarray:
     """Per-block counts of g's nonzeros."""
     if g.dim != p.d:
@@ -87,8 +70,6 @@ def reshuffle_if_due(
     """Fresh uniform partition when k hits the reshuffle period, else p unchanged."""
     if period is None:
         return p
-    if period < 1:
-        raise ConfigurationError(f"reshuffle period must be >= 1, got {period}")
     if k % period != 0:
         return p
     return random_partition(p.d, p.J, rng)

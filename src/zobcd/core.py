@@ -34,6 +34,8 @@ class RngStreams:
 
     def __init__(self, master_seed: int):
         self.master_seed = int(master_seed)
+        if self.master_seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.master_seed}")
 
     def _seed_seq(self, name: str) -> np.random.SeedSequence:
         if name not in STREAM_NAMES:

@@ -21,17 +21,14 @@ from zobcd.sparse_recovery import CosampConfig, SparseVector, cosamp
 @dataclass(frozen=True)
 class EstimatorConfig:
     delta: float
-    s_block: int
-    cosamp: CosampConfig
+    cosamp: CosampConfig  # cosamp.s is the block sparsity
     ensemble: MeasurementOperator  # n == block size
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigurationError(f"query radius must be > 0, got {self.delta}")
-        if self.s_block > self.ensemble.n:
-            raise ConfigurationError(
-                f"s_block={self.s_block} exceeds block dimension {self.ensemble.n}"
-            )
+        if not 0 < self.delta < math.inf:
+            raise ConfigurationError(f"query radius must be finite and > 0, got {self.delta}")
+        if self.cosamp.s > self.ensemble.n:
+            raise ConfigurationError(f"sparsity {self.cosamp.s} exceeds block dimension {self.ensemble.n}")
 
 
 def estimate_block_gradient(
@@ -65,10 +62,10 @@ def estimate_block_gradient(
 
 def theoretical_radius(sigma: float, H: float | None = None, fallback: float = 1e-2) -> float:
     """Query radius 2*sqrt(sigma/H); falls back when noiseless or H unknown."""
-    if sigma < 0:
-        raise ConfigurationError(f"noise level must be >= 0, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ConfigurationError(f"noise level must be finite and >= 0, got {sigma}")
     if sigma == 0 or H is None:
         return fallback
-    if H <= 0:
-        raise ConfigurationError(f"Hessian bound must be > 0, got {H}")
+    if not 0 < H < math.inf:
+        raise ConfigurationError(f"Hessian bound must be finite and > 0, got {H}")
     return 2.0 * math.sqrt(sigma / H)

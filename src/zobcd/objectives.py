@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from zobcd.core import ConfigurationError
-from zobcd.blocks import BlockPartition
 from zobcd.sparse_recovery import SparseVector, top_k_magnitude
 
 
@@ -52,17 +51,6 @@ class SparseQuadric:
     def l_max(self) -> float:
         return float(self.coeffs.max())
 
-    def hessian_l1_bound(self, p: BlockPartition | None = None) -> float:
-        """Max over blocks of the elementwise l1 norm of the block Hessian.
-
-        The Hessian is diagonal, so per block this is the sum of the a_i
-        whose support coordinate falls in that block.
-        """
-        if p is None:
-            return float(self.coeffs.sum())
-        block_of = p.block_of()[self.support]
-        return float(np.bincount(block_of, weights=self.coeffs, minlength=p.J).max())
-
     def eval(self, x: np.ndarray) -> float:
         v = x[self.support]  # a copy, so squaring it in place is safe
         v *= v
@@ -82,9 +70,6 @@ class SparseQuadric:
 
     def grad(self, x: np.ndarray) -> SparseVector:
         return SparseVector(self.support, self.coeffs * x[self.support], self.d)
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.eval(x)
 
 
 @dataclass(frozen=True)
@@ -138,9 +123,6 @@ class MaxSSumSquared:
     def grad(self, x: np.ndarray) -> SparseVector:
         sel = top_k_magnitude(x, self.s)
         return SparseVector(sel, x[sel], self.d)
-
-    def __call__(self, x: np.ndarray) -> float:
-        return self.eval(x)
 
 
 OBJECTIVES = ("sparse-quadric", "max-s-sum-squared")

@@ -16,7 +16,7 @@ import numpy as np
 from zobcd.core import ConfigurationError, ConvergenceTrace, NumericalFailure, Oracle, RngStreams
 from zobcd.blocks import BlockPartition, random_partition, reshuffle_if_due
 from zobcd.estimator import EstimatorConfig, estimate_block_gradient
-from zobcd.sampling import PartialCirculantEnsemble, RademacherEnsemble, make_rademacher, required_rows
+from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher, required_rows
 from zobcd.sparse_recovery import CosampConfig, SparseVector
 
 TERM_BUDGET = "budget_exhausted"
@@ -87,26 +87,6 @@ def step(x_k: np.ndarray, g_hat: SparseVector, alpha: float, p: BlockPartition, 
     return out
 
 
-def theoretical_step_size(L_max: float) -> float:
-    if L_max <= 0:
-        raise ConfigurationError(f"L_max must be > 0, got {L_max}")
-    return 1.0 / L_max
-
-
-def inexactness_constants(
-    rho: float, tau: float, sigma: float, H: float, L_max: float, n: int
-) -> tuple[float, float]:
-    """Diagnostic constants eta = 2 rho^(2n), theta = 4 tau^2 sigma H / L_max."""
-    return 2.0 * rho ** (2 * n), 4.0 * tau**2 * sigma * H / L_max
-
-
-def admissibility_margin(
-    rho: float, tau: float, sigma: float, H: float, L_max: float, n: int, c1: float
-) -> float:
-    """Left side of the convergence admissibility condition (must be < 1)."""
-    return 4.0 * rho ** (4 * n) + 16.0 * tau**2 * sigma * H / (c1 * L_max)
-
-
 def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> RunResult:
     """The run loop of every method: budget, max_iters, target, trace, failures.
 
@@ -162,11 +142,8 @@ def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_
             raise ConfigurationError("ZO-BCD-RC requires d divisible by J (equal blocks)")
         n = sizes[0]
         m = cfg.m_override or required_rows("circulant", s_block, n, b3=cfg.b3)
-        if m > n:
-            raise ConfigurationError(f"ZO-BCD-RC needs m <= block size, got m={m} > n={n}")
-        z = (dir_rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.float64)
-        omega = omega_rng.choice(n, size=m, replace=False)
-        return {n: PartialCirculantEnsemble(z, omega)}
+        # z from the directions stream, omega from the omega stream; the omega drawn on dir_rng is discarded
+        return {n: make_partial_circulant(m, n, dir_rng).with_new_omega(omega_rng)}
     # Dense Rademacher: draw one master block of directions at the largest
     # block size; smaller blocks use row- and column-truncated views of it
     # (prefixes of Rademacher rows are Rademacher), cols[:n, :m] in its
@@ -199,7 +176,7 @@ def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -
     omega_rng = streams.substream("omega")
     cosamp_cfg = CosampConfig(s=s_block, n_iters=cfg.n_cosamp)
     ensembles = _make_ensembles(cfg, p, streams, s_block, omega_rng)
-    est_cfgs = {n: EstimatorConfig(cfg.delta, s_block, cosamp_cfg, Z) for n, Z in ensembles.items()}
+    est_cfgs = {n: EstimatorConfig(cfg.delta, cosamp_cfg, Z) for n, Z in ensembles.items()}
 
     def iterate(x, k, remaining):
         nonlocal p, est_cfgs

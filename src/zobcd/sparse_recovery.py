@@ -44,11 +44,6 @@ class SparseVector:
     def empty(cls, dim: int) -> "SparseVector":
         return cls(np.empty(0, dtype=np.intp), np.empty(0), dim)
 
-    @classmethod
-    def from_dense(cls, v: np.ndarray) -> "SparseVector":
-        idx = np.flatnonzero(v)
-        return cls(idx, v[idx], v.shape[0])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
@@ -57,9 +52,6 @@ class SparseVector:
     @property
     def nnz(self) -> int:
         return self.indices.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
 
 
 @dataclass(frozen=True)

@@ -193,7 +193,7 @@ def test_06_gradient_estimate_error_bound():
             m = math.ceil(2 * s * math.log(d / J))
             Z = make_rademacher(m, n, streams.substream("directions"))
             cfg = EstimatorConfig(
-                delta=delta, s_block=s,
+                delta=delta,
                 cosamp=CosampConfig(s=s, n_iters=n_cosamp), ensemble=Z,
             )
             oracle = make_noisy_oracle(q.eval, NoiseModel.bounded(sigma), streams)

@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from zobcd.core import ConfigurationError, RngStreams
-from zobcd.blocks import (
-    block_sparsity_histogram,
-    lift,
-    random_partition,
-    reshuffle_if_due,
-    restrict,
-)
+from zobcd.blocks import block_sparsity_histogram, random_partition, reshuffle_if_due
 from zobcd.sparse_recovery import SparseVector
 
 
@@ -49,43 +42,10 @@ class TestRandomPartition:
 
 
 class TestRestrictLift:
-    def test_restrict_identity_perm(self):
-        p = random_partition(4, 2, rng())
-        # force identity to check plain extraction
-        p = type(p)(np.arange(4), p.block_sizes, p.offsets)
-        assert np.array_equal(restrict(np.array([9.0, 8.0, 7.0, 6.0]), p, 0), [9.0, 8.0])
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 1000))
-    def test_roundtrips(self, seed):
-        gen = rng(seed)
-        d, J = 23, 4
-        p = random_partition(d, J, gen)
-        x = gen.standard_normal(d)
-        total = np.zeros(d)
-        for j in range(J):
-            t = restrict(x, p, j)
-            lifted = lift(t, p, j)
-            assert np.array_equal(restrict(lifted, p, j), t)
-            assert np.isclose(np.linalg.norm(lifted), np.linalg.norm(t))
-            total += lifted
-        assert np.array_equal(total, x)
-
-    def test_concat_restrict_is_permutation_of_x(self):
-        gen = rng(3)
-        p = random_partition(10, 3, gen)
-        x = gen.standard_normal(10)
-        concat = np.concatenate([restrict(x, p, j) for j in range(3)])
-        assert np.array_equal(np.sort(concat), np.sort(x))
-
-    def test_lift_zero(self):
-        p = random_partition(8, 2, rng())
-        assert np.array_equal(lift(np.zeros(4), p, 1), np.zeros(8))
-
     def test_block_index_out_of_range(self):
         p = random_partition(8, 2, rng())
         with pytest.raises(IndexError):
-            restrict(np.zeros(8), p, 2)
+            p.block_indices(2)
 
 
 class TestSparsityHistogram:

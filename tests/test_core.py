@@ -26,6 +26,12 @@ def test_noiseless_oracle_identity():
     assert oracle.query_count == 1
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70)])
+def test_negative_master_seed_rejected(seed):
+    with pytest.raises(ConfigurationError):
+        RngStreams(seed)
+
+
 def test_query_counter_increments_once_per_eval():
     oracle = make_noisy_oracle(lambda x: 0.0, NoiseModel.none(), RngStreams(0))
     x = np.zeros(3)

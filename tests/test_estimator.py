@@ -16,7 +16,7 @@ def make_setup(d, J, s_block, seed, b1=2.0):
     n = int(p.block_sizes[0])
     m = required_rows("rademacher", s_block, n, b1=b1)
     Z = make_rademacher(m, n, streams.substream("directions"))
-    cfg = EstimatorConfig(delta=1e-2, s_block=s_block, cosamp=CosampConfig(s=s_block), ensemble=Z)
+    cfg = EstimatorConfig(delta=1e-2, cosamp=CosampConfig(s=s_block), ensemble=Z)
     return streams, p, cfg
 
 
@@ -44,7 +44,7 @@ class TestEstimateBlockGradient:
         support = np.sort(gen.choice(p.block_indices(0), size=s, replace=False))
         q = SparseQuadric(d, support, np.ones(s))
         Z = make_rademacher(m, int(p.block_sizes[0]), streams.substream("directions"))
-        cfg = EstimatorConfig(delta=1e-2, s_block=s, cosamp=CosampConfig(s=s), ensemble=Z)
+        cfg = EstimatorConfig(delta=1e-2, cosamp=CosampConfig(s=s), ensemble=Z)
         oracle = make_noisy_oracle(q.eval, NoiseModel.none(), streams)
         x = gen.uniform(-1.0, 1.0, size=d)
         x[support] = np.sign(x[support])
@@ -87,6 +87,17 @@ class TestEstimateBlockGradient:
         bad_p = random_partition(64, 4, streams.substream("partition"))
         with pytest.raises(ConfigurationError):
             estimate_block_gradient(oracle, np.zeros(64), bad_p, 0, cfg)
+
+    @pytest.mark.parametrize("delta", [0.0, -1e-2, float("nan"), float("inf")])
+    def test_bad_radius_rejected(self, delta):
+        _, _, cfg = make_setup(64, 2, 3, seed=5)
+        with pytest.raises(ConfigurationError):
+            EstimatorConfig(delta=delta, cosamp=cfg.cosamp, ensemble=cfg.ensemble)
+
+    def test_sparsity_above_block_dimension_rejected(self):
+        _, _, cfg = make_setup(64, 2, 3, seed=5)
+        with pytest.raises(ConfigurationError):
+            EstimatorConfig(delta=1e-2, cosamp=CosampConfig(s=33), ensemble=cfg.ensemble)
 
 
 class Blowup:
@@ -176,3 +187,12 @@ class TestTheoreticalRadius:
             theoretical_radius(1.0, -2.0)
         with pytest.raises(ConfigurationError):
             theoretical_radius(-1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "sigma, H",
+        [(float("nan"), 1.0), (float("inf"), 1.0), (float("nan"), None), (float("inf"), None),
+         (1e-4, float("nan")), (1e-4, float("inf"))],
+    )
+    def test_non_finite_inputs_rejected(self, sigma, H):
+        with pytest.raises(ConfigurationError):
+            theoretical_radius(sigma, H)

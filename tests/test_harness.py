@@ -63,6 +63,7 @@ BAD_INPUTS = {
     "objective-s-above-d": dict(objective={"name": "sparse-quadric", "d": 20, "s": 30}),
     "repeats-string": dict(repeats="3"),
     "seed-fractional": dict(seed=1.5),
+    "seed-negative": dict(seed=-2),
     "noise-level-nan": dict(noise={"kind": "gaussian", "level": float("nan")}),
     "noise-level-inf": dict(noise={"kind": "gaussian", "level": float("inf")}),
     "noise-unknown-key": dict(noise={"kind": "gaussian", "lvl": 1e-6}),
@@ -282,6 +283,15 @@ class TestCli:
         monkeypatch.setenv("ZOBCD_SEED", "forty")
         assert main(["run", "--config", str(write_spec(tmp_path)), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith("configuration error:")
+
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")])
+    def test_negative_seed_exit_code_1(self, tmp_path, capsys, monkeypatch, flag, env):
+        if env is not None:
+            monkeypatch.setenv("ZOBCD_SEED", env)
+        argv = ["run", "--config", str(write_spec(tmp_path)), "--out", str(tmp_path / "o"), *flag]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
 
     def test_seed_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         spec_path = write_spec(tmp_path)

@@ -16,11 +16,8 @@ from zobcd.optimizer import (
     TERM_TARGET,
     ZobcdConfig,
     _make_ensembles,
-    admissibility_margin,
-    inexactness_constants,
     run_zobcd,
     step,
-    theoretical_step_size,
 )
 from zobcd.sampling import required_rows
 from zobcd.sparse_recovery import SparseVector
@@ -58,26 +55,6 @@ class TestStep:
         expected = np.zeros(10)
         expected[p.block_indices(1)[[1, 3]]] = [-0.5, 1.0]
         assert np.array_equal(out, expected)
-
-
-class TestHelpers:
-    def test_theoretical_step_size(self):
-        assert theoretical_step_size(4.0) == 0.25
-        with pytest.raises(ConfigurationError):
-            theoretical_step_size(0.0)
-
-    def test_inexactness_constants(self):
-        eta, theta = inexactness_constants(
-            rho=0.5, tau=10.0, sigma=1e-3, H=2.0, L_max=4.0, n=3
-        )
-        assert eta == pytest.approx(2.0 * 0.5**6)
-        assert theta == pytest.approx(4.0 * 100.0 * 1e-3 * 2.0 / 4.0)
-
-    def test_admissibility_margin(self):
-        got = admissibility_margin(
-            rho=0.5, tau=10.0, sigma=1e-3, H=2.0, L_max=4.0, n=3, c1=8.0
-        )
-        assert got == pytest.approx(4.0 * 0.5**12 + 16.0 * 100.0 * 1e-3 * 2.0 / (8.0 * 4.0))
 
 
 class TestConfigValidation:
@@ -225,6 +202,24 @@ class TestUnequalBlocks:
         assert np.array_equal(small.cols, master.cols[:30, : small.m])
         assert np.shares_memory(small.cols, master.cols)  # a view, not a copy
         assert np.all(np.abs(small.cols) == 1.0)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_circulant_draws_z_then_omega_from_their_streams(seed):
+    # z is the first n signs of the directions stream and omega the sorted
+    # first choice draw of the omega stream: the order fixed-seed RC traces pin
+    d, J, m = 120, 4, 9
+    cfg = ZobcdConfig(variant="RC", d=d, J=J, s=4, alpha=1.0, delta=1e-6, budget=10**6,
+                      seed=seed, m_override=m)
+    streams = RngStreams(seed)
+    p = random_partition(d, J, streams.substream("partition"))
+    ((n, Z),) = _make_ensembles(cfg, p, streams, 2, streams.substream("omega")).items()
+    assert (n, Z.m, Z.n) == (30, m, 30)
+    z = streams.substream("directions").integers(0, 2, size=n, dtype=np.int8) * 2.0 - 1.0
+    omega = np.sort(streams.substream("omega").choice(n, size=m, replace=False))
+    assert np.array_equal(Z.z, z)
+    assert np.array_equal(Z.omega, omega)
+    assert np.array_equal(Z._zf, np.fft.rfft(z))
 
 
 class TestBudgetIsHardCap:

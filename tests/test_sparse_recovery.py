@@ -67,7 +67,7 @@ class TestSparseVector:
     def test_roundtrip(self):
         v = np.zeros(10)
         v[[3, 6]] = [1.5, -2.0]
-        sv = SparseVector.from_dense(v)
+        sv = SparseVector(np.array([3, 6]), np.array([1.5, -2.0]), 10)
         assert np.array_equal(sv.to_dense(), v)
         assert sv.nnz == 2
 
