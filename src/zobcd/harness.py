@@ -217,14 +217,17 @@ def summarize(traces: list[ConvergenceTrace], target: float | None, terminations
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     """Execute all repeats, write trace files and summary.json, return the summary."""
     out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
     ext = "csv" if spec.format == "csv" else "json"
     traces, terminations = [], []
     for r in range(spec.repeats):
         result = run_single(spec, spec.seed + r)
+        if r == 0:
+            # Only now: every config value is checked while the first run is
+            # set up, so a rejected spec leaves no directory behind.
+            try:
+                out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
         _write_trace(result.trace, out / f"trace_{r:03d}.{ext}", spec.format, spec.record_timing)
         traces.append(result.trace)
         terminations.append(result.termination)

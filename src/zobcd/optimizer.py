@@ -35,12 +35,11 @@ class ZobcdConfig:
     budget: int
     seed: int = 0
     b1: float = 2.0
-    b3: float = 1.0
     n_cosamp: int = 10
     target: float | None = None
     reshuffle_period: int | None = None
     max_iters: int | None = None
-    m_override: int | None = None  # explicit row count, bypassing the b1/b3 formulas
+    m_override: int | None = None  # explicit row count, bypassing the b1 rule
     block_sparsity_factor: float = 1.1
 
     def __post_init__(self):
@@ -50,7 +49,7 @@ class ZobcdConfig:
             raise ConfigurationError(f"need 1 <= J <= d, got J={self.J}, d={self.d}")
         if self.s < 1:
             raise ConfigurationError(f"need s >= 1, got {self.s}")
-        check_run_limits(self, "alpha", "delta", "b1", "b3", "block_sparsity_factor")
+        check_run_limits(self, "alpha", "delta", "b1", "block_sparsity_factor")
         if self.reshuffle_period is not None and self.reshuffle_period < 1:
             raise ConfigurationError(f"reshuffle period must be >= 1, got {self.reshuffle_period}")
         if self.m_override is not None and self.m_override < 1:
@@ -137,25 +136,19 @@ def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_
     """One measurement operator per distinct block size (equal blocks share one)."""
     dir_rng = streams.substream("directions")
     sizes = sorted(set(int(b) for b in p.block_sizes), reverse=True)
+    if cfg.variant == "RC" and len(sizes) > 1:
+        raise ConfigurationError("ZO-BCD-RC requires d divisible by J (equal blocks)")
+    rows = {n: cfg.m_override or required_rows(s_block, n, cfg.b1) for n in sizes}
+    n_max = sizes[0]
     if cfg.variant == "RC":
-        if len(sizes) > 1:
-            raise ConfigurationError("ZO-BCD-RC requires d divisible by J (equal blocks)")
-        n = sizes[0]
-        m = cfg.m_override or required_rows("circulant", s_block, n, b3=cfg.b3)
         # z from the directions stream, omega from the omega stream; the omega drawn on dir_rng is discarded
-        return {n: make_partial_circulant(m, n, dir_rng).with_new_omega(omega_rng)}
+        return {n_max: make_partial_circulant(rows[n_max], n_max, dir_rng).with_new_omega(omega_rng)}
     # Dense Rademacher: draw one master block of directions at the largest
     # block size; smaller blocks use row- and column-truncated views of it
     # (prefixes of Rademacher rows are Rademacher), cols[:n, :m] in its
     # column-major storage.
-    n_max = sizes[0]
-    m_max = cfg.m_override or required_rows("rademacher", s_block, n_max, b1=cfg.b1)
-    master = make_rademacher(m_max, n_max, dir_rng)
-    out = {n_max: master}
-    for n in sizes[1:]:
-        m = cfg.m_override or required_rows("rademacher", s_block, n, b1=cfg.b1)
-        out[n] = RademacherEnsemble(cols=master.cols[:n, :m])
-    return out
+    master = make_rademacher(rows[n_max], n_max, dir_rng)
+    return {n: master if n == n_max else RademacherEnsemble(cols=master.cols[:n, :m]) for n, m in rows.items()}
 
 
 def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -> RunResult:

@@ -189,24 +189,19 @@ def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialC
     return PartialCirculantEnsemble(z, omega)
 
 
-def required_rows(variant: str, s: int, n: int, b1: float = 2.0, b3: float = 1.0) -> int:
-    """Row count needed for s-sparse recovery, clamped to [s + 1, n].
+def required_rows(s: int, n: int, b1: float = 2.0) -> int:
+    """Row count for s-sparse recovery, ceil(b1 * s * ln n), clamped to [s + 1, n].
 
-    Natural log throughout; the constants b1 (dense) and b3 (circulant) are
-    user-tunable to compensate for the hidden log base. Clamping to n warns:
+    One rule for both ensembles: at it the partial circulant recovers as
+    often as the dense Rademacher ensemble (see README). Clamping to n warns:
     such a block costs as many queries as finite differences on every
     coordinate.
     """
     if s < 1 or s > n:
         raise ConfigurationError(f"need 1 <= s <= n, got s={s}, n={n}")
-    if not (0 < b1 < math.inf and 0 < b3 < math.inf):
-        raise ConfigurationError(f"b1 and b3 must be finite and > 0, got {b1}, {b3}")
-    if variant == "rademacher":
-        m = math.ceil(b1 * s * math.log(n))
-    elif variant == "circulant":
-        m = math.ceil(b3 * s * math.log(max(s, 2)) ** 2 * math.log(n) ** 2)
-    else:
-        raise ConfigurationError(f"unknown ensemble variant: {variant!r}")
+    if not 0 < b1 < math.inf:
+        raise ConfigurationError(f"b1 must be finite and > 0, got {b1}")
+    m = math.ceil(b1 * s * math.log(n))
     if m > n:
-        warnings.warn(f"{variant} ensemble for s={s} needs m={m} rows, clamped to the block size n={n}", stacklevel=2)
+        warnings.warn(f"s={s} needs m={m} rows, clamped to the block size n={n}", stacklevel=2)
     return min(max(m, s + 1), n)

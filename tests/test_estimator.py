@@ -14,7 +14,7 @@ def make_setup(d, J, s_block, seed, b1=2.0):
     streams = RngStreams(seed)
     p = random_partition(d, J, streams.substream("partition"))
     n = int(p.block_sizes[0])
-    m = required_rows("rademacher", s_block, n, b1=b1)
+    m = required_rows(s_block, n, b1=b1)
     Z = make_rademacher(m, n, streams.substream("directions"))
     cfg = EstimatorConfig(delta=1e-2, cosamp=CosampConfig(s=s_block), ensemble=Z)
     return streams, p, cfg

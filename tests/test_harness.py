@@ -34,7 +34,8 @@ SPEC_DOC = {
 
 
 _PARAMS = SPEC_DOC["params"]
-# Each malformed input must end `zobcd` with exit code 1 and a one-line message.
+# Each malformed input must end `zobcd` with exit code 1 and a one-line message,
+# and leave no output directory behind.
 BAD_INPUTS = {
     "params-unknown-key": dict(params=dict(_PARAMS, bogus=1)),
     "params-duplicates-objective-d": dict(params=dict(_PARAMS, d=200)),
@@ -46,7 +47,9 @@ BAD_INPUTS = {
     "params-baseline-given-J": dict(method="fdsa", params=dict(alpha=0.1, delta=1e-3, budget=10, J=2)),
     "params-rc-rows-beyond-block": dict(method="zobcd-rc", params=dict(_PARAMS, m_override=200)),
     "params-b1-nan": dict(params=dict(_PARAMS, b1=float("nan"))),
-    "params-rc-b3-inf": dict(method="zobcd-rc", params=dict(_PARAMS, b3=float("inf"))),
+    "params-b1-negative": dict(params=dict(_PARAMS, b1=-1.0)),
+    "params-rc-unequal-blocks": dict(method="zobcd-rc", params=dict(_PARAMS, J=3)),
+    "params-rc-b3-inf": dict(method="zobcd-rc", params=dict(_PARAMS, b3=float("inf"))),  # b3 is no longer a key
     "params-rc-m-override-negative": dict(method="zobcd-rc", params=dict(_PARAMS, m_override=-5)),
     "params-m-override-zero": dict(params=dict(_PARAMS, m_override=0)),
     "params-alpha-nan": dict(params=dict(_PARAMS, alpha=float("nan"))),
@@ -315,6 +318,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        assert not (tmp_path / "o").exists()
         if case == "malformed-trace-row":
             assert "trace_000.csv line 3" in err
 

@@ -1,6 +1,7 @@
 """Tests for the ZO-BCD driver: stepping, termination, accounting, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,21 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError):
             run_zobcd(oracle, x0, cfg)
 
+    def test_rc_default_rows_follow_the_row_rule(self):
+        # the paper's d=20000, J=4, s=200 configuration: s_block = 53 and
+        # ceil(2 * 53 * ln 5000) = 903 rows, well below the block size 5000
+        q, x0, cfg, oracle = make_quadric_run(
+            20000, 4, 200, variant="RC", block_sparsity_factor=1.05, max_iters=1
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            streams = RngStreams(cfg.seed)
+            p = random_partition(cfg.d, cfg.J, streams.substream("partition"))
+            ((n, Z),) = _make_ensembles(cfg, p, streams, 53, streams.substream("omega")).items()
+            res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
+        assert (n, Z.m) == (5000, 903)
+        assert list(res.trace.queries()) == [0, 904]
+
     def test_x0_dimension_mismatch(self):
         q, x0, cfg, oracle = make_quadric_run(64, 2, 4, max_iters=1)
         with pytest.raises(ConfigurationError):
@@ -112,7 +128,7 @@ class TestRunZobcd:
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         n = 120 // 4
         s_block = math.ceil(1.1 * cfg.s / cfg.J)
-        m = required_rows("rademacher", s_block, n, b1=cfg.b1)
+        m = required_rows(s_block, n, b1=cfg.b1)
         assert oracle.query_count == 5 * (m + 1)
         assert res.trace.queries()[-1] == oracle.query_count
 
@@ -120,7 +136,7 @@ class TestRunZobcd:
         q, x0, cfg, oracle = make_quadric_run(120, 4, 8)
         n = 120 // 4
         s_block = math.ceil(1.1 * cfg.s / cfg.J)
-        m = required_rows("rademacher", s_block, n, b1=cfg.b1)
+        m = required_rows(s_block, n, b1=cfg.b1)
         cfg2 = ZobcdConfig(
             variant="R", d=120, J=4, s=8, alpha=1.0, delta=1e-6, budget=m + 1, seed=cfg.seed
         )
@@ -174,7 +190,7 @@ class TestUnequalBlocks:
     s_block = math.ceil(1.1 * s / J)
 
     def rows(self, n):
-        return required_rows("rademacher", self.s_block, n, b1=self.b1)
+        return required_rows(self.s_block, n, b1=self.b1)
 
     def test_iteration_costs_m_j_plus_one_for_the_chosen_block(self):
         assert self.rows(31) != self.rows(30)  # otherwise the costs cannot tell the blocks apart

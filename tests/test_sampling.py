@@ -257,42 +257,38 @@ class TestAdjointAndLinearity:
 
 
 class TestRequiredRows:
-    def test_rademacher_arithmetic(self):
+    def test_arithmetic(self):
         # ceil(42 * ln 4000) = 349
-        assert required_rows("rademacher", 42, 4000, b1=1.0) == 349
+        assert required_rows(42, 4000, b1=1.0) == 349
 
     def test_clamped_to_n(self):
         with pytest.warns(UserWarning, match="clamped"):
-            assert required_rows("rademacher", 100, 100, b1=4.0) == 100
-        with pytest.warns(UserWarning, match="clamped"):
-            assert required_rows("circulant", 100, 100, b3=1.0) == 100
+            assert required_rows(60, 100) == 100
 
     def test_clamp_warning_names_s_n_and_unclamped_m(self):
-        # the default b3 asks for more rows than a 5000-column block has
-        m = math.ceil(53 * math.log(53) ** 2 * math.log(5000) ** 2)
-        with pytest.warns(UserWarning, match=f"s=53 needs m={m} rows, clamped to the block size n=5000"):
-            assert required_rows("circulant", 53, 5000) == 5000
+        # ceil(4 * 100 * ln 100) = 1843 rows for a 100-column block
+        with pytest.warns(UserWarning, match="s=100 needs m=1843 rows, clamped to the block size n=100"):
+            assert required_rows(100, 100, b1=4.0) == 100
 
     def test_no_warning_without_clamp(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert required_rows("rademacher", 53, 5000, b1=4.0) == 1806
+            assert required_rows(53, 5000, b1=4.0) == 1806
+            assert required_rows(53, 5000) == 903
 
     def test_clamped_above_sparsity(self):
-        assert required_rows("rademacher", 5, 1000, b1=1e-6) == 6
+        assert required_rows(5, 1000, b1=1e-6) == 6
 
     def test_b1_range_accepted(self):
         for b1 in (1.0, 2.5, 4.0):
-            assert required_rows("rademacher", 10, 500, b1=b1) >= 11
+            assert required_rows(10, 500, b1=b1) >= 11
 
     def test_errors(self):
         with pytest.raises(ConfigurationError):
-            required_rows("rademacher", 50, 10)
-        with pytest.raises(ConfigurationError):
-            required_rows("unknown", 5, 10)
-        for b1, b3 in ((0.0, 1.0), (float("nan"), 1.0), (1.0, float("inf"))):
+            required_rows(50, 10)
+        for b1 in (0.0, float("nan"), float("inf")):
             with pytest.raises(ConfigurationError):
-                required_rows("circulant", 5, 10, b1=b1, b3=b3)
+                required_rows(5, 10, b1=b1)
 
 
 def test_rip_spot_check():

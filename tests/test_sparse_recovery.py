@@ -160,6 +160,23 @@ class TestCosamp:
                 successes += 1
         assert successes >= 99
 
+    def test_circulant_exact_recovery_at_the_row_rule(self):
+        # acceptance test_01's protocol on the partial circulant ensemble
+        n, s = 1024, 10
+        m = required_rows(s, n)
+        assert m == 139
+        successes = 0
+        for seed in range(100):
+            gen = np.random.default_rng(seed)
+            Z = make_partial_circulant(m, n, gen)
+            support = gen.choice(n, size=s, replace=False)
+            g = np.zeros(n)
+            g[support] = gen.standard_normal(s)
+            est = cosamp(Z, Z.apply(g), CosampConfig(s=s)).to_dense()
+            if set(np.nonzero(est)[0]) == set(support) and np.linalg.norm(est - g) <= 1e-8 * np.linalg.norm(g):
+                successes += 1
+        assert successes >= 99
+
     def test_noise_robustness(self):
         n, s, m = 64, 3, 32
         successes = 0
@@ -182,7 +199,7 @@ class TestCosamp:
     def test_circulant_operator_recovery(self):
         gen = rng(31)
         n, s = 512, 6
-        m = required_rows("circulant", s, n, b3=0.05)
+        m = 38  # about half of required_rows(s, n) = 75, so recovery is not easy
         Z = make_partial_circulant(m, n, gen)
         g = np.zeros(n)
         support = gen.choice(n, size=s, replace=False)
