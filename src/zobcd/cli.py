@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -58,10 +59,19 @@ def _cmd_summarize(args) -> int:
     paths = sorted(in_dir.glob("trace_*.csv")) + sorted(in_dir.glob("trace_*.json"))
     if not paths:
         raise ConfigurationError(f"no trace files found in {in_dir}")
-    target = args.target
+    target, source = args.target, "--target"
     summary_path = in_dir / "summary.json"
     if target is None and summary_path.exists():
-        target = json.loads(summary_path.read_text()).get("target")
+        try:
+            doc = json.loads(summary_path.read_text())
+        except (OSError, ValueError) as exc:
+            raise ConfigurationError(f"{summary_path} is not readable JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"{summary_path} must hold a JSON object, got {type(doc).__name__}")
+        target, source = doc.get("target"), str(summary_path)
+    finite = type(target) is int or (type(target) is float and math.isfinite(target))
+    if target is not None and not finite:
+        raise ConfigurationError(f"{source}: target must be null or a finite number, got {target!r}")
     print(json.dumps(summarize([read_trace(p) for p in paths], target), indent=1))
     return 0
 

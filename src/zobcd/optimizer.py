@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -165,7 +166,9 @@ def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -
     choice_rng = streams.substream("block_choice")
 
     p = random_partition(cfg.d, cfg.J, part_rng)
-    s_block = max(1, math.ceil(cfg.block_sparsity_factor * cfg.s / cfg.J))
+    # On the factor's shortest decimal form: in floats 1.1 * 200 / 4 is
+    # 55.00000000000001, and its ceiling would be 56, not 55.
+    s_block = max(1, math.ceil(Fraction(repr(float(cfg.block_sparsity_factor))) * cfg.s / cfg.J))
     omega_rng = streams.substream("omega")
     cosamp_cfg = CosampConfig(s=s_block, n_iters=cfg.n_cosamp)
     ensembles = _make_ensembles(cfg, p, streams, s_block, omega_rng)

@@ -126,6 +126,11 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     solver stops there, without that solve, and returns the estimate: the
     result is the one ``cfg.n_iters`` iterations give.
 
+    Every sparsity target s <= n runs this one loop. When 2s >= n, the first
+    candidate set is every column with a nonzero proxy entry, so the first
+    fit is the full least-squares fit, and the next iteration repeats its
+    support and stops there with that fit's top s.
+
     ``on_iterate(k, estimate, residual_norm)``, when given, observes every
     iterate up to and including the repeated one; the iterations skipped
     after it would have shown it again. Used by diagnostics and tests, never
@@ -142,15 +147,6 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
         raise NumericalFailure("non-finite measurements")
     if ynorm == 0.0:
         return SparseVector.empty(n)
-
-    if cfg.s >= n / 2:
-        warnings.warn(
-            f"sparsity target s={cfg.s} >= n/2={n / 2}; falling back to full least squares",
-            stacklevel=2,
-        )
-        w = restricted_lsq(Z, y, np.arange(n))
-        keep = top_k_magnitude(w, cfg.s)
-        return SparseVector(keep, w[keep], n)
 
     estimate = SparseVector.empty(n)
     r = y.copy()  # the residual of the empty estimate, y - 0

@@ -52,8 +52,8 @@ CASES = {
         "seed": 4, "noise": {"kind": "bounded", "level": 1e-4},
     },
     "zobcd-r-dense-fallback": {
-        # s_block = 6 >= n/2 = 5 on 10-column blocks: CoSaMP's full-fit branch on
-        # a rank-deficient 10 x 10 ensemble
+        # s_block = 6 >= n/2 = 5 on 10-column blocks: CoSaMP's first fit takes
+        # every column of a rank-deficient 10 x 10 ensemble
         "objective": {"name": "sparse-quadric", "d": 40, "s": 20},
         "method": "zobcd-r",
         "params": {"J": 4, "alpha": 0.9, "delta": 1e-2, "budget": 10**6, "max_iters": 6},

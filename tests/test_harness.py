@@ -272,6 +272,29 @@ class TestCli:
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
         assert "trace_000.csv holds no trace records" in err
 
+    @pytest.mark.parametrize(
+        "summary, flag, named",
+        [
+            ("not json", [], "summary.json"),
+            ("[1, 2]", [], "summary.json"),
+            ('{"target": "abc"}', [], "summary.json"),
+            ('{"target": NaN}', [], "summary.json"),
+            (None, ["--target", "nan"], "--target"),
+            (None, ["--target", "inf"], "--target"),
+        ],
+        ids=["not-json", "json-list", "string-target", "nan-target", "flag-nan", "flag-inf"],
+    )
+    def test_bad_summarize_target_exits_1_with_one_line(self, tmp_path, capsys, summary, flag, named):
+        (tmp_path / "trace_000.csv").write_text(
+            "iteration,cumulative_queries,f_value,compute_nanos\n0,0,1.5,0\n1,10,0.5,7\n"
+        )
+        if summary is not None:
+            (tmp_path / "summary.json").write_text(summary)
+        assert main(["summarize", "--in", str(tmp_path), *flag]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1, err
+        assert named in err
+
     def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
         spec_path = write_spec(tmp_path)
         out_env = tmp_path / "env_results"

@@ -132,6 +132,13 @@ class TestRunZobcd:
         assert oracle.query_count == 5 * (m + 1)
         assert res.trace.queries()[-1] == oracle.query_count
 
+    def test_default_factor_gives_the_exact_block_sparsity(self):
+        # the paper's d=20000, J=4, s=200 at the default factor 1.1: s_block is
+        # 1.1 * 200 / 4 = 55 exactly, so m = ceil(2 * 55 * ln 5000) = 937
+        q, x0, cfg, oracle = make_quadric_run(20000, 4, 200, max_iters=1)
+        res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
+        assert list(res.trace.queries()) == [0, 938]
+
     def test_budget_limits_iterations(self):
         q, x0, cfg, oracle = make_quadric_run(120, 4, 8)
         n = 120 // 4
@@ -177,6 +184,29 @@ class TestRunZobcd:
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         fv = res.trace.f_values()
         assert fv[-1] <= 1e-4 * fv[0]
+
+    @pytest.mark.parametrize(
+        "variant, m_override, message",
+        [
+            # the golden dense-fallback configuration: the 28 rows the rule asks
+            # for are clamped to n = 10, and the square fits stay silent
+            ("R", None, "clamped to the block size"),
+            # 8 rows on 10-column blocks: the first fit takes all 10 columns
+            ("RC", 8, "underdetermined"),
+        ],
+    )
+    def test_half_dense_blocks_warn_from_the_right_place(self, variant, m_override, message):
+        # s_block = 6 >= n/2 = 5 on blocks of n = 10
+        q, x0, cfg, oracle = make_quadric_run(
+            40, 4, 20, seed=7, variant=variant, m_override=m_override, alpha=0.9, delta=1e-2,
+            max_iters=6,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_zobcd(oracle, x0, cfg, report_f=q.eval)
+        assert caught
+        assert {w.category for w in caught} == {UserWarning}
+        assert all(message in str(w.message) for w in caught)
 
 
 class TestUnequalBlocks:

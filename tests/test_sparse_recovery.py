@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zobcd.core import NumericalFailure, RngStreams
 from zobcd.sampling import make_partial_circulant, make_rademacher, required_rows
@@ -237,7 +237,7 @@ class TestCosamp:
                     ratios.append(cur / prev)
         assert np.median(ratios) <= 0.5
 
-    @pytest.mark.parametrize("s", [3, 10])  # the CoSaMP loop and the s >= n/2 full fit
+    @pytest.mark.parametrize("s", [3, 10])  # 10 >= n/2: the first fit takes every column
     def test_non_finite_measurements_raise(self, s):
         Z = make_rademacher(16, 16, rng(43))
         y = np.ones(16)
@@ -248,11 +248,48 @@ class TestCosamp:
                 cosamp(Z, y, CosampConfig(s=s))
 
     def test_degenerate_sparsity_falls_back(self):
+        # s >= n/2 on a square ensemble: the loop's first fit is the full,
+        # well-posed least-squares fit, and nothing warns
         Z = make_rademacher(16, 16, rng(41))
-        g = rng(42).standard_normal(16)
-        with pytest.warns(UserWarning, match="full least squares"):
-            est = cosamp(Z, Z.apply(g), CosampConfig(s=10))
-        assert est.nnz <= 10
+        y = Z.apply(rng(42).standard_normal(16))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = cosamp(Z, y, CosampConfig(s=10))
+            w = restricted_lsq(Z, y, np.arange(16))
+        keep = top_k_magnitude(w, 10)
+        assert est.indices.tobytes() == keep.tobytes()
+        assert est.values.tobytes() == w[keep].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 120),
+        data=st.data(),
+        noise=st.sampled_from([0.0, 1e-3]),
+        n_iters=st.integers(1, 11),
+        circulant=st.booleans(),
+    )
+    def test_half_or_more_of_n_gives_the_full_fit(self, seed, n, data, noise, n_iters, circulant):
+        s = data.draw(st.integers((n + 1) // 2, n), label="s")
+        m = data.draw(st.integers(1, n), label="m")
+        gen = rng(seed)
+        Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+        g = np.zeros(n)
+        g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
+        y = Z.apply(g) + noise * gen.standard_normal(m)
+        # a zero proxy entry keeps its column out of the first fit
+        assume(np.all(Z.adjoint(y) != 0))
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # underdetermined fits when m < n
+            est = cosamp(Z, y, CosampConfig(s=s, n_iters=n_iters), on_iterate=recorder(calls))
+            w = restricted_lsq(Z, y, np.arange(n))
+        keep = top_k_magnitude(w, s)
+        assert est.indices.tobytes() == keep.tobytes()
+        assert est.values.tobytes() == w[keep].tobytes()
+        # on_iterate sees the full fit, then at most its repeat
+        assert 1 <= len(calls) <= 2
+        assert calls[-1][1:3] == (est.indices.tobytes(), est.values.tobytes())
 
 
 def cosamp_without_exit(Z, y, cfg, on_iterate=None):
