@@ -57,16 +57,24 @@ class ZobcdConfig:
             raise ConfigurationError(f"m_override must be >= 1, got {self.m_override}")
 
 
+def _finite(value) -> bool:
+    """math.isfinite, False also for an integer too large for a float."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def check_run_limits(cfg, *positive: str):
     """Validate the fields every method's config shares, and ``positive``:
-    each of those must be finite and > 0 (NaN fails every comparison)."""
+    each of those must be finite and > 0."""
     for name in positive:
         value = getattr(cfg, name)
-        if not 0 < value < math.inf:
+        if not (_finite(value) and value > 0):
             raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
     if cfg.budget < 1:
         raise ConfigurationError(f"query budget must be >= 1, got {cfg.budget}")
-    if cfg.target is not None and not math.isfinite(cfg.target):
+    if cfg.target is not None and not _finite(cfg.target):
         raise ConfigurationError(f"target must be finite, got {cfg.target}")
     if cfg.max_iters is not None and cfg.max_iters < 0:
         raise ConfigurationError(f"max_iters must be >= 0, got {cfg.max_iters}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure
-from zobcd.sampling import MeasurementOperator
+from zobcd.sampling import MeasurementOperator, top_k_magnitude
 
 # A Cholesky pivot of the Gram matrix below this fraction of the largest one
 # marks the gathered columns as numerically dependent. The normal equations
@@ -64,29 +64,6 @@ class CosampConfig:
             raise ConfigurationError(f"sparsity target must be >= 1, got {self.s}")
         if self.n_iters < 1:
             raise ConfigurationError(f"n_iters must be >= 1, got {self.n_iters}")
-
-
-def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest-magnitude entries, ties broken by lowest index.
-
-    Zero entries never qualify: with fewer than k nonzeros, all nonzero
-    indices are returned.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    v = np.asarray(v, dtype=np.float64)
-    if k == 0:
-        return np.empty(0, dtype=np.intp)
-    # NaN ranks like zero: it never qualifies and never displaces a nonzero.
-    mag = np.fmax(np.abs(v), 0.0)
-    if k < v.size:
-        kth = np.partition(mag, v.size - k)[v.size - k]  # the k-th largest magnitude
-        above = np.flatnonzero(mag > kth)
-        ties = np.flatnonzero(mag == kth)[: k - above.size]  # lowest indices first
-        sel = np.sort(np.concatenate((above, ties)))
-    else:
-        sel = np.arange(v.size)
-    return sel[mag[sel] > 0]
 
 
 def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -> np.ndarray:
@@ -153,10 +130,7 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     rnorm = ynorm
     fitted = None  # the support of the last least-squares fit
     for k in range(cfg.n_iters):
-        proxy = Z.adjoint(r)
-        if not np.all(np.isfinite(proxy)):
-            raise NumericalFailure(f"non-finite proxy at CoSaMP iteration {k}")
-        candidates = top_k_magnitude(proxy, 2 * cfg.s)
+        candidates = Z.top_adjoint(r, 2 * cfg.s)  # raises NumericalFailure on a non-finite proxy
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break

@@ -58,6 +58,13 @@ BAD_INPUTS = {
     "params-baseline-delta-inf": dict(method="fdsa", params=dict(alpha=0.1, delta=float("inf"), budget=10)),
     "params-block-sparsity-factor-negative": dict(params=dict(_PARAMS, block_sparsity_factor=-1.0)),
     "params-target-nan": dict(params=dict(_PARAMS, target=float("nan"))),
+    # integers too large for a float: finite, yet math.isfinite cannot take them
+    "params-target-huge-integer": dict(params=dict(_PARAMS, target=10**400)),
+    "params-alpha-huge-integer": dict(params=dict(_PARAMS, alpha=10**400)),
+    "params-b1-huge-integer": dict(params=dict(_PARAMS, b1=10**400)),
+    "params-baseline-target-huge-integer": dict(
+        method="spsa", params=dict(alpha=0.1, delta=1e-3, budget=10, target=10**400)),
+    "params-baseline-delta-huge-integer": dict(method="spsa", params=dict(alpha=0.1, delta=10**400, budget=10)),
     "params-max-iters-negative": dict(params=dict(_PARAMS, max_iters=-3)),
     "objective-missing-d": dict(objective={"name": "sparse-quadric", "s": 10}),
     "objective-fractional-d": dict(objective={"name": "sparse-quadric", "d": 200.5, "s": 10}),

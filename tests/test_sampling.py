@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zobcd.core import ConfigurationError, RngStreams
+from zobcd.core import ConfigurationError, NumericalFailure, RngStreams
 from zobcd.sampling import (
     PartialCirculantEnsemble,
     RademacherEnsemble,
@@ -13,7 +13,7 @@ from zobcd.sampling import (
     make_rademacher,
     required_rows,
 )
-from zobcd.sparse_recovery import CosampConfig, cosamp
+from zobcd.sparse_recovery import CosampConfig, cosamp, top_k_magnitude
 
 
 def rng(seed=0):
@@ -92,12 +92,14 @@ class TestColumnMajorRademacher:
         assert (RademacherEnsemble(cols=Z.cols).m, RademacherEnsemble(cols=Z.cols).n) == (6, 10)
 
     def test_integer_signs_give_the_float_ensemble(self):
-        # columns and the fallback probes scale gathered copies in place,
-        # which an integer array could not hold
+        # signs of any dtype are stored once as float32, in which +-1 is
+        # exact; every product and gather still returns float64
         Z = make_rademacher(30, 80, rng(11))
+        assert Z.cols.dtype == np.float32
         Zi = RademacherEnsemble(cols=Z.cols.astype(np.int8))
-        assert Zi.cols.dtype == np.float64
-        assert RademacherEnsemble(cols=Z.cols).cols is Z.cols  # float64 is not copied
+        assert Zi.cols.dtype == np.float32
+        assert RademacherEnsemble(cols=Z.cols).cols is Z.cols  # float32 is not copied
+        assert RademacherEnsemble(cols=Z.cols.astype(np.float64)).cols.tobytes() == Z.cols.tobytes()
         idx = rng(12).choice(Z.n, size=13, replace=False)
         assert Zi.columns(idx).tobytes(order="F") == Z.columns(idx).tobytes(order="F")
         assert Zi.columns(idx).flags.f_contiguous
@@ -115,9 +117,13 @@ class TestColumnMajorRademacher:
         if truncate:  # a smaller block's view of the master, as ZO-BCD-R builds it
             Z = RademacherEnsemble(cols=master.cols[:70, :31])
             assert (Z.m, Z.n) == (31, 70) and np.shares_memory(Z.cols, master.cols)
-        rows = np.ascontiguousarray(Z.cols.T)
+        rows = np.ascontiguousarray(Z.cols.T, dtype=np.float64)  # the float64 matrix
         cols = rng(4).choice(Z.n, size=17, replace=False)
         for idx in (cols, np.sort(cols), np.arange(Z.n)):
+            # float64 and F-ordered, so that objectives' delta * directions
+            # and CoSaMP's products stay float64 arithmetic on that order
+            for out in (Z.directions(idx), Z.columns(idx)):
+                assert out.dtype == np.float64 and out.flags.f_contiguous
             assert np.array_equal(Z.directions(idx), rows[:, idx])
             assert np.array_equal(Z.columns(idx), rows[:, idx] * (1.0 / math.sqrt(Z.m)))
             # the same memory order too: BLAS products on it round the same way
@@ -128,19 +134,117 @@ class TestColumnMajorRademacher:
             assert A.tobytes(order="F") == (Z.directions(idx) * (1.0 / math.sqrt(Z.m))).tobytes(order="F")
         assert Z.directions(np.empty(0, dtype=np.intp)).shape == (Z.m, 0)
         for i in range(Z.m):
-            assert np.array_equal(Z.row(i), rows[i])
+            assert Z.row(i).dtype == np.float64 and np.array_equal(Z.row(i), rows[i])
+        assert Z.row_block(2, 9).dtype == np.float64 and Z.row_block(2, 9).flags.c_contiguous
 
     @pytest.mark.parametrize("truncate", [False, True])
     def test_products_match_row_major(self, truncate):
         Z = make_rademacher(60, 150, rng(5))
         if truncate:
             Z = RademacherEnsemble(cols=Z.cols[:110, :45])
-        rows = np.ascontiguousarray(Z.cols.T) / np.sqrt(Z.m)
+        rows = np.ascontiguousarray(Z.cols.T, dtype=np.float64) / np.sqrt(Z.m)
         gen = rng(6)
         for _ in range(20):
             v, y = gen.standard_normal(Z.n), gen.standard_normal(Z.m)
             np.testing.assert_allclose(Z.apply(v), rows @ v, rtol=1e-12, atol=1e-12 * np.abs(v).sum())
             np.testing.assert_allclose(Z.adjoint(y), rows.T @ y, rtol=1e-12, atol=1e-12 * np.abs(y).sum())
+
+
+@st.composite
+def screened_case(draw):
+    """A dense ensemble (possibly a truncated view), a measurement y and a k.
+
+    n covers every residue mod 4 and n = 1; k covers 1, n - 1, n and beyond;
+    |y| spans 1e-300 to 1e300, past float32's range both ways; y is generic,
+    integer-valued (exact ties in the proxy) or a scaled unit vector (every
+    proxy magnitude equal).
+    """
+    n = max(4 * draw(st.integers(0, 60)) + draw(st.sampled_from([0, 1, 2, 3])), 1)
+    m = draw(st.integers(1, 90))
+    seed = draw(st.integers(0, 10_000))
+    Z = make_rademacher(m, n, rng(seed))
+    if draw(st.booleans()) and n > 1 and m > 1:  # cols[:n, :m] of a master, as ZO-BCD-R builds it
+        Z = RademacherEnsemble(cols=Z.cols[: draw(st.integers(1, n - 1)), : draw(st.integers(1, m - 1))])
+    gen = rng(seed + 1)
+    kind = draw(st.sampled_from(["normal", "integers", "unit"]))
+    if kind == "normal":
+        y = gen.standard_normal(Z.m)
+    elif kind == "integers":
+        y = gen.integers(-2, 3, size=Z.m).astype(np.float64)
+    else:
+        y = np.zeros(Z.m)
+        y[draw(st.integers(0, Z.m - 1))] = 1.0
+    y *= 10.0 ** draw(st.integers(-300, 300))
+    k = draw(st.sampled_from([1, Z.n - 1, Z.n, Z.n + 3, max(1, Z.n // 10)]))
+    return Z, y, k
+
+
+def count_adjoint_calls(Z):
+    """Make Z record each call of its float64 adjoint in the returned list."""
+    calls, adjoint = [], Z.adjoint
+    Z.adjoint = lambda y: calls.append(1) or adjoint(y)
+    return calls
+
+
+class TestScreenedTopAdjoint:
+    @settings(max_examples=300, deadline=None)
+    @given(screened_case())
+    def test_top_adjoint_is_the_top_of_the_float64_adjoint(self, case):
+        Z, y, k = case
+        proxy = Z.adjoint(y)
+        # the product on float64 signs, as the dense ensemble computed it
+        assert proxy.tobytes() == ((Z.cols.astype(np.float64) @ y) * (1 / math.sqrt(Z.m))).tobytes()
+        assert Z.top_adjoint(y, k).tobytes() == top_k_magnitude(proxy, k).tobytes()
+
+    @pytest.mark.parametrize("n", [500, 501, 502, 503])
+    @pytest.mark.parametrize("truncate", [False, True])
+    def test_screen_decides_without_the_full_product(self, n, truncate):
+        # at a realistic shape the screen settles all but a few rows, so the
+        # float64 adjoint is never formed
+        Z = make_rademacher(120, 520, rng(n))
+        Z = RademacherEnsemble(cols=Z.cols[:n, : 110 if truncate else 120])
+        ys = [rng(n + 1).standard_normal(Z.m) * scale for scale in (1e-30, 1.0, 1e30)]
+        expected = [top_k_magnitude(Z.adjoint(y), k) for y in ys for k in (1, 2, 40, n - 1)]
+        calls = count_adjoint_calls(Z)
+        got = [Z.top_adjoint(y, k) for y in ys for k in (1, 2, 40, n - 1)]
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+        assert calls == []
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_out_of_float32_range_falls_back(self, scale):
+        Z = make_rademacher(50, 300, rng(31))
+        y = rng(32).standard_normal(50) * scale
+        expected = top_k_magnitude(Z.adjoint(y), 7)
+        calls = count_adjoint_calls(Z)
+        assert Z.top_adjoint(y, 7).tobytes() == expected.tobytes()
+        assert calls == [1]
+
+    def test_tie_at_the_cut_falls_back(self):
+        # Two equal columns tie in the recomputed rows. The full product may
+        # sum them in another order, so only it can say which one it keeps.
+        cols = make_rademacher(40, 200, rng(36)).cols.copy()
+        cols[150] = cols[20]
+        Z = RademacherEnsemble(cols=cols)
+        y = rng(37).standard_normal(40)
+        proxy = Z.adjoint(y)
+        k = int(np.sum(np.abs(proxy) > np.abs(proxy[20]))) + 1  # the cut falls between the pair
+        calls = count_adjoint_calls(Z)
+        assert Z.top_adjoint(y, k).tobytes() == top_k_magnitude(proxy, k).tobytes()
+        assert calls == [1]
+
+    @pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
+    def test_non_finite_proxy_raises(self, circulant):
+        Z = make_partial_circulant(8, 16, rng(33)) if circulant else make_rademacher(8, 16, rng(33))
+        y = np.ones(8)
+        y[3] = np.inf
+        with pytest.raises(NumericalFailure):
+            Z.top_adjoint(y, 3)
+
+    def test_circulant_top_adjoint_is_the_top_of_its_adjoint(self):
+        Z = make_partial_circulant(24, 96, rng(34))
+        y = rng(35).standard_normal(24)
+        for k in (1, 10, 95, 96, 200):
+            assert Z.top_adjoint(y, k).tobytes() == top_k_magnitude(Z.adjoint(y), k).tobytes()
 
 
 class TestPartialCirculant:
