@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zobcd.core import ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, make_noisy_oracle
+from zobcd.core import MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, finite, make_noisy_oracle
 from zobcd.baselines import BASELINES, BaselineConfig, run_baseline
 from zobcd.objectives import OBJECTIVES, make_objective
 from zobcd.optimizer import RunResult, ZobcdConfig, run_zobcd
@@ -32,7 +32,7 @@ def _check_number(name: str, value, integral: bool = False):
 
 def _check_finite(name: str, value):
     _check_number(name, value)
-    if not math.isfinite(value):
+    if not finite(value):
         raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
@@ -78,8 +78,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown objective {name!r} (choose from {OBJECTIVES})")
         for key in ("d", "s"):
             _check_number(f"objective.{key}", self.objective.get(key), integral=True)
-        if not 1 <= self.objective["s"] <= self.objective["d"]:
-            raise ConfigurationError(f"objective needs 1 <= s <= d, got {self.objective}")
+        if not 1 <= self.objective["s"] <= self.objective["d"] <= MAX_INDEX:
+            raise ConfigurationError(f"objective needs 1 <= s <= d <= {MAX_INDEX}, got {self.objective}")
         _check_finite("objective.coeff", self.objective.get("coeff", 1.0))
         _check_finite("x0_scale", self.x0_scale)
         if self.repeats < 1:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from zobcd.core import ConfigurationError, ConvergenceTrace, NumericalFailure, Oracle, RngStreams
+from zobcd.core import ConfigurationError, ConvergenceTrace, MAX_INDEX, NumericalFailure, Oracle, RngStreams, finite
 from zobcd.blocks import BlockPartition, random_partition, reshuffle_if_due
 from zobcd.estimator import EstimatorConfig, estimate_block_gradient
 from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher, required_rows
@@ -53,16 +53,8 @@ class ZobcdConfig:
         check_run_limits(self, "alpha", "delta", "b1", "block_sparsity_factor")
         if self.reshuffle_period is not None and self.reshuffle_period < 1:
             raise ConfigurationError(f"reshuffle period must be >= 1, got {self.reshuffle_period}")
-        if self.m_override is not None and self.m_override < 1:
-            raise ConfigurationError(f"m_override must be >= 1, got {self.m_override}")
-
-
-def _finite(value) -> bool:
-    """math.isfinite, False also for an integer too large for a float."""
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
+        if self.m_override is not None and not 1 <= self.m_override <= MAX_INDEX:
+            raise ConfigurationError(f"m_override must be in [1, {MAX_INDEX}], got {self.m_override}")
 
 
 def check_run_limits(cfg, *positive: str):
@@ -70,11 +62,11 @@ def check_run_limits(cfg, *positive: str):
     each of those must be finite and > 0."""
     for name in positive:
         value = getattr(cfg, name)
-        if not (_finite(value) and value > 0):
+        if not (finite(value) and value > 0):
             raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
     if cfg.budget < 1:
         raise ConfigurationError(f"query budget must be >= 1, got {cfg.budget}")
-    if cfg.target is not None and not _finite(cfg.target):
+    if cfg.target is not None and not finite(cfg.target):
         raise ConfigurationError(f"target must be finite, got {cfg.target}")
     if cfg.max_iters is not None and cfg.max_iters < 0:
         raise ConfigurationError(f"max_iters must be >= 0, got {cfg.max_iters}")

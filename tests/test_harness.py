@@ -65,6 +65,13 @@ BAD_INPUTS = {
     "params-baseline-target-huge-integer": dict(
         method="spsa", params=dict(alpha=0.1, delta=1e-3, budget=10, target=10**400)),
     "params-baseline-delta-huge-integer": dict(method="spsa", params=dict(alpha=0.1, delta=10**400, budget=10)),
+    "params-m-override-huge-integer": dict(params=dict(_PARAMS, m_override=10**400)),
+    "objective-d-huge-integer": dict(objective={"name": "sparse-quadric", "d": 10**400, "s": 10}),
+    "objective-coeff-huge-integer": dict(objective={"name": "sparse-quadric", "d": 200, "s": 10, "coeff": 10**400}),
+    "noise-level-huge-integer": dict(noise={"kind": "gaussian", "level": 10**400}),
+    "x0-scale-huge-integer": dict(x0_scale=10**400),
+    # numpy's uniform(-level, level) overflows its range 2 * level
+    "noise-bounded-level-beyond-half-max": dict(noise={"kind": "bounded", "level": 1.5e308}),
     "params-max-iters-negative": dict(params=dict(_PARAMS, max_iters=-3)),
     "objective-missing-d": dict(objective={"name": "sparse-quadric", "s": 10}),
     "objective-fractional-d": dict(objective={"name": "sparse-quadric", "d": 200.5, "s": 10}),
