@@ -78,8 +78,9 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown objective {name!r} (choose from {OBJECTIVES})")
         for key in ("d", "s"):
             _check_number(f"objective.{key}", self.objective.get(key), integral=True)
-        if not 1 <= self.objective["s"] <= self.objective["d"] <= MAX_INDEX:
-            raise ConfigurationError(f"objective needs 1 <= s <= d <= {MAX_INDEX}, got {self.objective}")
+        max_d = MAX_INDEX // 8  # x0 holds d float64s
+        if not 1 <= self.objective["s"] <= self.objective["d"] <= max_d:
+            raise ConfigurationError(f"objective needs 1 <= s <= d <= {max_d}, got {self.objective}")
         _check_finite("objective.coeff", self.objective.get("coeff", 1.0))
         _check_finite("x0_scale", self.x0_scale)
         if self.repeats < 1:

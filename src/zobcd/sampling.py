@@ -31,7 +31,7 @@ from typing import Protocol
 
 import numpy as np
 
-from zobcd.core import ConfigurationError, NumericalFailure
+from zobcd.core import MAX_INDEX, ConfigurationError, NumericalFailure
 
 
 class MeasurementOperator(Protocol):
@@ -265,6 +265,8 @@ def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsem
     """m x n Rademacher ensemble whose signs are those ``_sign_bits`` draws."""
     if m <= 0 or n <= 0:
         raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
+    if 4 * m * n > MAX_INDEX:  # cols holds m * n float32s
+        raise ConfigurationError(f"an m={m} x n={n} ensemble is too large to address")
     signs = _sign_bits(m, n, rng)
     signs *= 2
     signs -= 1

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zobcd._ziggurat import KI_LOWER, WI
 from zobcd.core import (
     ConfigurationError,
     ConvergenceTrace,
@@ -14,7 +13,6 @@ from zobcd.core import (
     Oracle,
     RngStreams,
     TraceRecord,
-    _philox_first_words,
     make_noisy_oracle,
 )
 from zobcd.objectives import MaxSSumSquared, SparseQuadric
@@ -67,100 +65,36 @@ def test_noise_draws_addressed_by_query_index():
     assert [a.eval(x) for _ in range(20)] == [b.eval(x) for _ in range(20)]
 
 
-def _fresh_draw(key, i, noise):
-    """Query i's noise from a generator built at its counter."""
-    gen = np.random.Generator(np.random.Philox(key=key, counter=i << 64))
-    if noise.kind == "bounded":
-        return gen.uniform(-noise.level, noise.level)
-    return gen.normal(0.0, math.sqrt(noise.level))
-
-
-def test_reused_generator_matches_a_fresh_one_per_query():
-    # the oracle re-points one Philox per draw; a generator built at the
-    # query's counter gives the same value
-    for noise in NOISES[1:]:
-        oracle = make_noisy_oracle(lambda x: 0.0, noise, RngStreams(11))
-        key = RngStreams(11).counter_key("noise")
-        x = np.zeros(1)
-        for i in range(2000):
-            assert oracle.eval(x) == _fresh_draw(key, i, noise)
-
-
-def _ziggurat_fields(words):
-    """numpy's split of a normal draw's first word: layer, sign, rabs."""
-    layer = (words & np.uint64(0xFF)).astype(np.intp)
-    return layer, (words >> np.uint64(8)) & np.uint64(1), (words >> np.uint64(9)) & np.uint64(2**52 - 1)
-
-
-class TestNoiseBlock:
-    """eval_block computes its m noise draws in one pass; each must equal the
-    draw numpy makes for that query."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        seed=st.integers(0, 2**64 - 1),
-        m=st.integers(1, 40),
-        data=st.data(),
-        kind=st.sampled_from(["bounded", "gaussian"]),
-        level=st.one_of(st.just(0.0), st.just(1), st.floats(0.0, 1e300)),
-    )
-    def test_block_noise_equals_a_fresh_generator_per_query(self, seed, m, data, kind, level):
-        noise = NoiseModel(kind, level)
-        start = data.draw(st.integers(0, 2**63 - m), label="start")
-        Z = make_rademacher(m, 3, np.random.default_rng(0))
-        oracle = make_noisy_oracle(lambda v: 0.0, noise, RngStreams(seed))
-        oracle._count = start  # as if start queries had been made
-        got = oracle.eval_block(np.zeros(3), np.arange(3), Z, 0.1)
-        key = RngStreams(seed).counter_key("noise")
-        assert got.tolist() == [_fresh_draw(key, start + i, noise) for i in range(m)]
-        assert oracle.query_count == start + m
-
-    def test_philox_words_equal_numpy_at_extreme_counters(self):
-        key = RngStreams(8).counter_key("noise")
-        for start in (0, 2**32 - 3, 2**63 - 2, 2**64 - 5):
-            words = [np.random.Philox(key=key, counter=(start + i) << 64).random_raw() for i in range(5)]
-            assert _philox_first_words(key, start, 5).tolist() == words
-
-    def test_pinned_ziggurat_tables_match_numpy(self):
-        # 60,000 normal draws from numpy, each at its own counter: a draw took
-        # the fast path when it read one word only (a five-word draw also
-        # ends at buffer_pos 1, one block on)
-        bits = np.random.Philox(key=RngStreams(20).counter_key("noise"))
-        gen = np.random.Generator(bits)
-        state = bits.state
-        n, start = 60_000, 2**40
-        words, z, fast = np.empty(n, np.uint64), np.empty(n), np.empty(n, bool)
-        for i in range(n):
-            state["state"]["counter"][1] = start + i
-            bits.state = state
-            words[i] = bits.random_raw()
-            bits.state = state
-            z[i] = gen.standard_normal()
-            after = bits.state
-            fast[i] = after["buffer_pos"] == 1 and after["state"]["counter"][0] == 1
-        layer, sign, rabs = _ziggurat_fields(words)
-        # every fast draw is the signed product with its layer's pinned wi ...
-        x = rabs[fast].astype(np.float64) * WI[layer[fast]]
-        assert np.array_equal(np.where(sign[fast] == 1, -x, x), z[fast])
-        # ... and no slow draw lies below its layer's pinned threshold
-        assert np.all(rabs[~fast] >= KI_LOWER[layer[~fast]])
-        # the thresholds are tight enough that the batch makes most draws itself
-        assert 0.97 < fast.mean() and 0.97 < np.mean(rabs < KI_LOWER[layer])
-
-    def test_draws_off_the_fast_path_come_from_numpy(self, monkeypatch):
-        noise = NoiseModel.gaussian(0.5)
-        oracle = make_noisy_oracle(lambda v: 0.0, noise, RngStreams(2))
-        key = RngStreams(2).counter_key("noise")
-        start, m = 1000, 2000
-        layer, _, rabs = _ziggurat_fields(_philox_first_words(key, start, m))
-        slow = np.flatnonzero(rabs >= KI_LOWER[layer])
-        assert 10 < slow.size < 100 and np.any(layer[slow] == 1)
-        called = []
-        draw = oracle._noise_draw
-        monkeypatch.setattr(oracle, "_noise_draw", lambda i: called.append(i) or draw(i))
-        got = oracle._noise_block(start, m)
-        assert called == (start + slow).tolist()
-        assert got[slow].tolist() == [_fresh_draw(key, start + i, noise) for i in slow.tolist()]
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    kind=st.sampled_from(["bounded", "gaussian"]),
+    level=st.one_of(st.just(0.0), st.just(1), st.floats(0.0, 1e300)),
+    calls=st.lists(st.one_of(st.none(), st.integers(1, 12)), max_size=12),
+    circulant=st.booleans(),
+)
+def test_noise_is_one_stream_in_query_order(seed, kind, level, calls, circulant):
+    # any mix of eval (None) and eval_block (its m) gives query i the i-th
+    # draw of the "noise" substream
+    noise = NoiseModel(kind, level)
+    oracle = make_noisy_oracle(lambda v: 0.0, noise, RngStreams(seed))
+    gen, n = np.random.default_rng(0), 12
+    x, idx = np.zeros(n), np.arange(n)
+    got = []
+    for m in calls:
+        if m is None:
+            got.append(oracle.eval(x))
+        else:
+            Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+            got.extend(oracle.eval_block(x, idx, Z, 0.1).tolist())
+    total = len(got)
+    stream = RngStreams(seed).substream("noise")  # f is 0.0, so value i is 0.0 + draw i
+    if kind == "bounded":
+        want = 0.0 + stream.uniform(-level, level, size=total)
+    else:
+        want = 0.0 + stream.normal(0.0, math.sqrt(level), size=total)
+    assert np.array(got, dtype=np.float64).tobytes() == want.tobytes()
+    assert oracle.query_count == total
 
 
 def _block_case(seed, circulant):

@@ -70,6 +70,9 @@ BAD_INPUTS = {
     "objective-coeff-huge-integer": dict(objective={"name": "sparse-quadric", "d": 200, "s": 10, "coeff": 10**400}),
     "noise-level-huge-integer": dict(noise={"kind": "gaussian", "level": 10**400}),
     "x0-scale-huge-integer": dict(x0_scale=10**400),
+    # below the largest intp, yet too large for numpy to address as an array
+    "params-m-override-unaddressable": dict(params=dict(_PARAMS, m_override=2**62)),
+    "objective-d-unaddressable": dict(objective={"name": "sparse-quadric", "d": 2**62, "s": 10}),
     # numpy's uniform(-level, level) overflows its range 2 * level
     "noise-bounded-level-beyond-half-max": dict(noise={"kind": "bounded", "level": 1.5e308}),
     "params-max-iters-negative": dict(params=dict(_PARAMS, max_iters=-3)),
