@@ -21,6 +21,11 @@ from zobcd.sampling import MeasurementOperator, top_k_magnitude
 # then have many solutions, and restricted_lsq takes lstsq's minimum-norm one.
 _MIN_PIVOT_RATIO = 1e-7
 
+# CoSaMP stops once a fit lowers the residual norm by less than this fraction
+# of the previous fit's. On noisy measurements the residual reaches its noise
+# floor within a fit or two, and the fits after that buy nothing.
+_MIN_RESIDUAL_DROP = 0.01
+
 
 @dataclass(frozen=True)
 class SparseVector:
@@ -96,12 +101,18 @@ def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -
 def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=None) -> SparseVector:
     """CoSaMP recovery of an s-sparse solution to Z v ~= y.
 
-    Each iteration is a deterministic function of the previous estimate
-    (the residual is one too). An iteration whose merged support equals the
-    previous one's would fit the same least squares again, so its estimate
-    repeats its predecessor bit for bit, and so would every later one. The
-    solver stops there, without that solve, and returns the estimate: the
-    result is the one ``cfg.n_iters`` iterations give.
+    Runs at most ``cfg.n_iters`` iterations and returns the latest iterate.
+    It stops earlier at the first of these exits:
+
+    - the residual stalls: fit k >= 1 leaves ||r_k|| >= (1 - eps) ||r_{k-1}||
+      with eps = 0.01, the halting rule of Needell and Tropp (ACHA 2009). On
+      noisy data the residual reaches its noise floor within a fit or two;
+    - the residual falls to 1e-12 ||y|| or below;
+    - the merged support equals the last fit's. Each iteration is a
+      deterministic function of the previous estimate (the residual is one
+      too), so that fit would return its predecessor bit for bit. The solver
+      stops there without the solve and returns the repeated estimate;
+    - the proxy has no nonzero entry, so there is nothing to fit.
 
     Every sparsity target s <= n runs this one loop. When 2s >= n, the first
     candidate set is every column with a nonzero proxy entry, so the first
@@ -109,9 +120,9 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     support and stops there with that fit's top s.
 
     ``on_iterate(k, estimate, residual_norm)``, when given, observes every
-    iterate up to and including the repeated one; the iterations skipped
-    after it would have shown it again. Used by diagnostics and tests, never
-    by the solver itself.
+    iterate in order, the one an exit fires on included: a stalled iterate,
+    like a repeated one, is seen once, last, and is the estimate returned.
+    Used by diagnostics and tests, never by the solver itself.
     """
     n = Z.n
     if y.shape != (Z.m,):
@@ -129,6 +140,7 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     r = y.copy()  # the residual of the empty estimate, y - 0
     rnorm = ynorm
     fitted = None  # the support of the last least-squares fit
+    stalled = False
     for k in range(cfg.n_iters):
         candidates = Z.top_adjoint(r, 2 * cfg.s)  # raises NumericalFailure on a non-finite proxy
         merged = np.union1d(estimate.indices, candidates)
@@ -145,9 +157,10 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
             r = y - Z.columns(estimate.indices) @ estimate.values
             if not np.all(np.isfinite(r)):
                 raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")
-            rnorm = float(np.linalg.norm(r))
+            prev_rnorm, rnorm = rnorm, float(np.linalg.norm(r))
+            stalled = k > 0 and rnorm >= (1.0 - _MIN_RESIDUAL_DROP) * prev_rnorm
         if on_iterate is not None:
             on_iterate(k, estimate, rnorm)
-        if repeated or rnorm <= 1e-12 * ynorm:
+        if repeated or stalled or rnorm <= 1e-12 * ynorm:
             break
     return estimate

@@ -292,12 +292,19 @@ class TestCosamp:
         assert calls[-1][1:3] == (est.indices.tobytes(), est.values.tobytes())
 
 
-def cosamp_without_exit(Z, y, cfg, on_iterate=None):
-    """CoSaMP as it ran before the fixed-point exit: n_iters iterations,
-    unless the residual falls below 1e-12 * ||y|| first."""
+# The stall rule's epsilon, written here apart from the library's constant.
+STALL_EPS = 0.01
+
+
+def cosamp_solving_every_iteration(Z, y, cfg, on_iterate=None):
+    """CoSaMP without the repeated-support exit: every iteration solves. It
+    stops after n_iters iterations, once a fit k >= 1 lowers the residual norm
+    by less than STALL_EPS of the previous fit's, or once the residual falls to
+    1e-12 * ||y||."""
     ynorm = float(np.linalg.norm(y))
     estimate = SparseVector.empty(Z.n)
     r = y.copy()
+    norms = []
     for k in range(cfg.n_iters):
         candidates = top_k_magnitude(Z.adjoint(r), 2 * cfg.s)
         merged = np.union1d(estimate.indices, candidates)
@@ -307,10 +314,12 @@ def cosamp_without_exit(Z, y, cfg, on_iterate=None):
         keep_local = top_k_magnitude(w, cfg.s)
         estimate = SparseVector(merged[keep_local], w[keep_local], Z.n)
         r = y - Z.columns(estimate.indices) @ estimate.values
-        rnorm = float(np.linalg.norm(r))
+        norms.append(float(np.linalg.norm(r)))
         if on_iterate is not None:
-            on_iterate(k, estimate, rnorm)
-        if rnorm <= 1e-12 * ynorm:
+            on_iterate(k, estimate, norms[-1])
+        if len(norms) > 1 and not norms[-1] < (1 - STALL_EPS) * norms[-2]:
+            break
+        if norms[-1] <= 1e-12 * ynorm:
             break
     return estimate
 
@@ -319,51 +328,103 @@ def recorder(calls):
     return lambda k, est, rnorm: calls.append((k, est.indices.tobytes(), est.values.tobytes(), rnorm))
 
 
+# Planted instances on R and RC operators, noiseless to very noisy, with every
+# iteration cap from one to past the point where runs stop on their own.
+NOISY_INSTANCES = dict(
+    seed=st.integers(0, 10_000),
+    n=st.integers(12, 160),
+    s=st.integers(1, 6),
+    rows=st.floats(0.2, 1.0),
+    noise=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
+    n_iters=st.integers(1, 14),
+    circulant=st.booleans(),
+)
+
+
+def noisy_instance(seed, n, s, rows, noise, n_iters, circulant):
+    """(Z, y, cfg) for a planted s-sparse vector plus Gaussian noise."""
+    s = min(s, (n - 1) // 2)
+    m = max(s + 1, int(rows * n))
+    gen = rng(seed)
+    Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+    g = np.zeros(n)
+    g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
+    y = Z.apply(g) + noise * gen.standard_normal(m)
+    return Z, y, CosampConfig(s=s, n_iters=n_iters)
+
+
 class TestFixedPointExit:
     @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 10_000),
-        n=st.integers(12, 160),
-        s=st.integers(1, 6),
-        rows=st.floats(0.2, 1.0),
-        noise=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
-        n_iters=st.integers(1, 14),
-        circulant=st.booleans(),
-    )
-    def test_equals_running_every_iteration(self, seed, n, s, rows, noise, n_iters, circulant):
-        s = min(s, (n - 1) // 2)
-        m = max(s + 1, int(rows * n))
-        gen = rng(seed)
-        Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
-        g = np.zeros(n)
-        g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
-        y = Z.apply(g) + noise * gen.standard_normal(m)
-        cfg = CosampConfig(s=s, n_iters=n_iters)
+    @given(**NOISY_INSTANCES)
+    def test_equals_running_every_iteration(self, **instance):
+        Z, y, cfg = noisy_instance(**instance)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits at small m
             got = cosamp(Z, y, cfg)
-            ref = cosamp_without_exit(Z, y, cfg)
+            ref = cosamp_solving_every_iteration(Z, y, cfg)
             calls, ref_calls = [], []
             observed = cosamp(Z, y, cfg, on_iterate=recorder(calls))
-            cosamp_without_exit(Z, y, cfg, on_iterate=recorder(ref_calls))
+            cosamp_solving_every_iteration(Z, y, cfg, on_iterate=recorder(ref_calls))
         for est in (got, observed):
             assert est.dim == ref.dim
             assert est.indices.tobytes() == ref.indices.tobytes()
             assert est.values.tobytes() == ref.values.tobytes()
         # on_iterate sees a prefix of the full run; what it misses repeats
-        # the last iterate it saw
+        # the last iterate it saw. A repeated fit leaves the residual as it
+        # was, so the stall rule stops the reference on it too: the prefix is
+        # the whole run.
         assert calls == ref_calls[: len(calls)]
         assert all(c[1:] == calls[-1][1:] for c in ref_calls[len(calls) :])
+        assert len(calls) == len(ref_calls)
 
     def test_stops_at_a_repeated_iterate(self):
-        Z, g, _ = planted_instance(200, 6, 60, seed=8)
-        y = Z.apply(g) + 0.05 * rng(9).standard_normal(60)
+        # four fits, each lowering the residual by more than 1 %; the fifth
+        # iteration repeats the fourth's support before the stall rule can fire
+        Z, g, _ = planted_instance(200, 6, 60, seed=52)
+        y = Z.apply(g) + 0.05 * rng(53).standard_normal(60)
         cfg = CosampConfig(s=6, n_iters=10)
         calls, ref_calls = [], []
         cosamp(Z, y, cfg, on_iterate=recorder(calls))
-        cosamp_without_exit(Z, y, cfg, on_iterate=recorder(ref_calls))
-        assert len(calls) < len(ref_calls) == 10
+        cosamp_solving_every_iteration(Z, y, cfg, on_iterate=recorder(ref_calls))
+        assert calls == ref_calls and len(calls) == 5
+        norms = [c[3] for c in calls]
+        assert all(b < (1 - STALL_EPS) * a for a, b in zip(norms[:-2], norms[1:-1]))
         assert calls[-1][1:] == calls[-2][1:]  # the first repeat is reported once
+
+
+class TestStallExit:
+    @settings(max_examples=120, deadline=None)
+    @given(**NOISY_INSTANCES)
+    def test_stops_on_the_first_stalled_fit(self, **instance):
+        Z, y, cfg = noisy_instance(**instance)
+        calls = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # underdetermined fits at small m
+            est = cosamp(Z, y, cfg, on_iterate=recorder(calls))
+        if not calls:  # nothing to fit: y = 0, or its proxy has no nonzero entry
+            assert est.nnz == 0
+            assert not np.any(y) or top_k_magnitude(Z.adjoint(y), 2 * cfg.s).size == 0
+            return
+        assert calls[-1][1:3] == (est.indices.tobytes(), est.values.tobytes())
+        norms = [c[3] for c in calls]
+        # every iterate but the last fell by more than epsilon ...
+        assert all(b < (1 - STALL_EPS) * a for a, b in zip(norms, norms[1:-1]))
+        # ... and the last is the first that did not, or another exit fired
+        stalled = len(norms) > 1 and not norms[-1] < (1 - STALL_EPS) * norms[-2]
+        capped = len(calls) == cfg.n_iters
+        solved = norms[-1] <= 1e-12 * np.linalg.norm(y)
+        assert stalled or capped or solved
+
+    def test_the_first_fit_never_stalls(self):
+        # pure noise on four columns: the first fit lowers the residual by far
+        # less than epsilon of ||y||, and the solver still makes a second
+        # iteration, which stalls or repeats
+        Z = make_rademacher(2000, 4, rng(60))
+        y = rng(61).standard_normal(2000)
+        calls = []
+        cosamp(Z, y, CosampConfig(s=1, n_iters=10), on_iterate=recorder(calls))
+        assert calls[0][3] > (1 - STALL_EPS) * np.linalg.norm(y)
+        assert len(calls) == 2
 
 
 class TestRepeatedSupportSkipsTheSolve:
@@ -406,8 +467,8 @@ class TestRepeatedSupportSkipsTheSolve:
     def test_the_repeated_iteration_makes_no_solve(self, monkeypatch):
         # the instance of test_stops_at_a_repeated_iterate: every iteration
         # seen solves once, except the last, which repeats its predecessor
-        Z, g, _ = planted_instance(200, 6, 60, seed=8)
-        y = Z.apply(g) + 0.05 * rng(9).standard_normal(60)
+        Z, g, _ = planted_instance(200, 6, 60, seed=52)
+        y = Z.apply(g) + 0.05 * rng(53).standard_normal(60)
         calls = []
         (supports,) = self.solves_per_call(
             monkeypatch, [lambda: cosamp(Z, y, CosampConfig(s=6, n_iters=10), on_iterate=recorder(calls))]
