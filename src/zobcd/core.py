@@ -105,9 +105,10 @@ class Oracle:
     ``eval_block(x, idx, Z, delta)`` method, ``eval_block`` hands the whole
     batch to it; any other ``f`` is called once per row.
 
-    Profilers and the benchmark rebind ``eval`` and ``eval_block`` on the
-    class to time and count queries, so both stay plain methods, and callers
-    look ``oracle.eval`` up on every query instead of caching the bound method.
+    The benchmark rebinds ``eval`` on the class to time and count queries
+    (``eval_block`` it leaves alone), so ``eval`` stays a plain method, and
+    callers look ``oracle.eval`` up on every query instead of caching the
+    bound method.
     """
 
     def __init__(self, f, noise: NoiseModel, streams: RngStreams):

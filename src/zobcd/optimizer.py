@@ -23,6 +23,7 @@ from zobcd.sparse_recovery import CosampConfig, SparseVector
 TERM_BUDGET = "budget_exhausted"
 TERM_TARGET = "target_reached"
 TERM_FAILURE = "numerical_failure"
+TERM_MAX_ITERS = "max_iters_reached"
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,9 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
     ``iterate(x, k, remaining)`` runs iteration k and returns ``(x_next,
     noisy_f)``, or None if its whole cost exceeds the ``remaining`` queries:
     the budget is a hard cap, so an iteration that cannot finish is never started.
+    The run's termination is ``TERM_TARGET``, ``TERM_FAILURE``,
+    ``TERM_MAX_ITERS`` once ``max_iters`` iterations have run, or else
+    ``TERM_BUDGET``.
 
     ``report_f``, when given, is a noiseless evaluation channel for the trace
     and the target check, not counted as a query. Without it the trace reports
@@ -127,6 +131,8 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
         if target is not None and f_rep <= target:
             termination = TERM_TARGET
             break
+    else:
+        termination = TERM_MAX_ITERS
     if len(trace) == 0:
         # no reporting channel and no iteration completed
         trace.append(0, oracle.query_count - q0, float("nan"), 0)

@@ -7,19 +7,8 @@ returns float64 arrays.
 
 The dense signs are stored as float32, in which +-1 is exact; a product
 converts them to float64 first, so it rounds as a float64 product would.
-CoSaMP needs its proxy only to rank entries (``top_adjoint``), and the dense
-ensemble ranks them from a float32 product, which reads half the bytes.
-With entries +-1, every entry of that screen is within
-E = gamma_{m+2} * ||y||_1 (gamma_k = k u / (1 - k u), u = 2^-24), plus an
-underflow term, of the float64 product; so is the k-th largest magnitude.
-Rows screened more than 2E above it are certainly selected, rows more than
-2E below it certainly not, and only the rows in between are recomputed in
-float64. BLAS may sum the full product in another order than the
-recomputation (its kernels and thread splits group rows differently), but
-each float64 entry is within gamma_m * ||y||_1 of the true one whatever the
-order. So the recomputed pick is kept only if the gap at its cut is wider
-than twice that; it is then the pick of the float64 proxy. Otherwise, and
-when the screen cannot decide, the float64 adjoint is formed.
+CoSaMP's proxy only ranks columns (``top_adjoint``), and the dense ensemble
+ranks it from the float32 product, which reads half the bytes.
 """
 
 from __future__ import annotations
@@ -45,7 +34,7 @@ class MeasurementOperator(Protocol):
     def directions(self, cols: np.ndarray) -> np.ndarray: ...  # unscaled m x |cols| gather
     def apply(self, v: np.ndarray) -> np.ndarray: ...  # scaled forward product
     def adjoint(self, y: np.ndarray) -> np.ndarray: ...  # scaled transpose product
-    def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray: ...  # top_k_magnitude(adjoint(y), k)
+    def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray: ...  # top k of adjoint(y), for ranking only
     def columns(self, idx: np.ndarray) -> np.ndarray: ...  # scaled column gather
 
 
@@ -72,18 +61,11 @@ def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     return sel[mag[sel] > 0]
 
 
-def _top_of_proxy(proxy: np.ndarray, k: int) -> np.ndarray:
-    if not np.all(np.isfinite(proxy)):
-        raise NumericalFailure("non-finite CoSaMP proxy")
-    return top_k_magnitude(proxy, k)
-
-
 class RademacherEnsemble:
     """m x n matrix of i.i.d. +-1 entries, scaled by 1/sqrt(m) on application.
 
     Stored column-major in float32: ``cols`` is the n x m array whose row c
     is column c of the matrix, so a column gather reads contiguous memory.
-    Its entries must be +-1, which ``top_adjoint``'s error bound relies on.
     The argument is keyword-only, so that a caller passing an m x n array of
     rows fails instead of getting the transposed ensemble.
     """
@@ -103,12 +85,7 @@ class RademacherEnsemble:
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of dim {self.n}, got {v.shape}")
-        # On a float64 copy with the row stride of cols: for m <= 3 OpenBLAS's
-        # dgemv_n picks its kernel by that stride, so a truncated view must
-        # keep its master's, as it did when the signs were stored in float64.
-        wide = np.empty((self.n, self.cols.strides[0] // self.cols.itemsize))[:, : self.m]
-        wide[...] = self.cols
-        return (wide.T @ v) * self._scale
+        return (self.cols.T.astype(np.float64) @ v) * self._scale
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if y.shape != (self.m,):
@@ -116,41 +93,19 @@ class RademacherEnsemble:
         return (self.cols.astype(np.float64) @ y) * self._scale
 
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray:
-        """``top_k_magnitude(self.adjoint(y), k)``, ranked from a float32 screen.
+        """The top k of the proxy, ranked from the float32 product.
 
-        See the module docstring for why the result is exact. Falls back to
-        the float64 adjoint when k >= n, when the screen is not finite, when
-        more than n/8 rows would need recomputing, or when the recomputed
-        rows leave a near-tie at the cut.
+        Dividing by the largest |y| keeps the float32 copy of y from
+        overflowing or underflowing, and changes no ranking.
         """
         if y.shape != (self.m,):
             raise ValueError(f"expected vector of dim {self.m}, got {y.shape}")
-        n, m = self.n, self.m
-        if 0 < k < n:
-            with np.errstate(over="ignore", invalid="ignore"):  # a non-finite screen falls back
-                mag = np.abs(self.cols @ y.astype(np.float32), dtype=np.float64)
-            y1 = float(np.abs(y).sum())
-            # gamma_{m+2} is two terms more than the screen and the float64
-            # product need together; the spare u * ||y||_1 makes the margins
-            # below strict. A y_j rounded to float32 loses at most 2^-150.
-            u = 2.0**-24
-            err = (m + 2) * u / (1 - (m + 2) * u) * y1 + (m + 1) * 2.0**-149
-            if math.isfinite(err) and np.all(np.isfinite(mag)):
-                kth = np.partition(mag, n - k)[n - k]
-                sure = np.flatnonzero(mag > kth + 2 * err)
-                window = np.flatnonzero(np.abs(mag - kth) <= 2 * err)
-                if window.size <= n / 8:
-                    exact = np.abs(self.cols[window].astype(np.float64) @ y) * self._scale
-                    need = k - sure.size
-                    ranked = np.sort(exact)[::-1]
-                    gap = ranked[need - 1] - (ranked[need] if need < window.size else 0.0)
-                    # In any summation order a float64 row is within gamma_m *
-                    # ||y||_1 of the true one, so the full product's rows and
-                    # these differ by under 4 m 2^-53 ||y||_1 / sqrt(m), scaling
-                    # included; a gap of twice that keeps the pick.
-                    if gap > 8 * m * 2.0**-53 * y1 * self._scale:
-                        return np.union1d(sure, window[exact >= ranked[need - 1]])
-        return _top_of_proxy(self.adjoint(y), k)
+        ymax = float(np.max(np.abs(y)))
+        if not math.isfinite(ymax):
+            raise NumericalFailure("non-finite CoSaMP proxy")
+        if ymax == 0.0:
+            return np.empty(0, dtype=np.intp)
+        return top_k_magnitude(self.cols @ (y / ymax).astype(np.float32), k)
 
     def row(self, i: int) -> np.ndarray:
         return self.cols[:, i].astype(np.float64)
@@ -217,7 +172,10 @@ class PartialCirculantEnsemble:
         return self._correlate(u) * self._scale
 
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray:
-        return _top_of_proxy(self.adjoint(y), k)
+        proxy = self.adjoint(y)
+        if not np.all(np.isfinite(proxy)):
+            raise NumericalFailure("non-finite CoSaMP proxy")
+        return top_k_magnitude(proxy, k)
 
     def row(self, i: int) -> np.ndarray:
         o = int(self.omega[i])

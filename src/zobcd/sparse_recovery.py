@@ -108,21 +108,24 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
       with eps = 0.01, the halting rule of Needell and Tropp (ACHA 2009). On
       noisy data the residual reaches its noise floor within a fit or two;
     - the residual falls to 1e-12 ||y|| or below;
-    - the merged support equals the last fit's. Each iteration is a
-      deterministic function of the previous estimate (the residual is one
-      too), so that fit would return its predecessor bit for bit. The solver
-      stops there without the solve and returns the repeated estimate;
     - the proxy has no nonzero entry, so there is nothing to fit.
+
+    The proxy only ranks candidates: ``Z.top_adjoint`` picks its 2s largest
+    entries, in float32 on the dense ensemble. A fit is a deterministic
+    function of its support, so a fit on the last fit's support returns that
+    fit bit for bit, leaves the residual as it was, and stalls.
 
     Every sparsity target s <= n runs this one loop. When 2s >= n, the first
     candidate set is every column with a nonzero proxy entry, so the first
-    fit is the full least-squares fit, and the next iteration repeats its
-    support and stops there with that fit's top s.
+    fit is the full least-squares fit, and the next iteration refits its
+    support and stalls with that fit's top s. A column whose residual proxy
+    rounds to zero stays out of the refit; that takes an entry that is zero
+    in exact arithmetic, as small noiseless instances make.
 
     ``on_iterate(k, estimate, residual_norm)``, when given, observes every
-    iterate in order, the one an exit fires on included: a stalled iterate,
-    like a repeated one, is seen once, last, and is the estimate returned.
-    Used by diagnostics and tests, never by the solver itself.
+    iterate in order, the one an exit fires on included: a stalled iterate
+    is seen once, last, and is the estimate returned. Used by diagnostics
+    and tests, never by the solver itself.
     """
     n = Z.n
     if y.shape != (Z.m,):
@@ -139,28 +142,21 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     estimate = SparseVector.empty(n)
     r = y.copy()  # the residual of the empty estimate, y - 0
     rnorm = ynorm
-    fitted = None  # the support of the last least-squares fit
-    stalled = False
     for k in range(cfg.n_iters):
         candidates = Z.top_adjoint(r, 2 * cfg.s)  # raises NumericalFailure on a non-finite proxy
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
-        # A fit on the last fit's support would return that fit again, and its
-        # top s is the current estimate: the estimate repeats without a solve.
-        repeated = fitted is not None and np.array_equal(merged, fitted)
-        if not repeated:
-            fitted = merged
-            w = restricted_lsq(Z, y, merged)
-            keep_local = top_k_magnitude(w, cfg.s)
-            estimate = SparseVector(merged[keep_local], w[keep_local], n)
-            r = y - Z.columns(estimate.indices) @ estimate.values
-            if not np.all(np.isfinite(r)):
-                raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")
-            prev_rnorm, rnorm = rnorm, float(np.linalg.norm(r))
-            stalled = k > 0 and rnorm >= (1.0 - _MIN_RESIDUAL_DROP) * prev_rnorm
+        w = restricted_lsq(Z, y, merged)
+        keep_local = top_k_magnitude(w, cfg.s)
+        estimate = SparseVector(merged[keep_local], w[keep_local], n)
+        r = y - Z.columns(estimate.indices) @ estimate.values
+        if not np.all(np.isfinite(r)):
+            raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")
+        prev_rnorm, rnorm = rnorm, float(np.linalg.norm(r))
         if on_iterate is not None:
             on_iterate(k, estimate, rnorm)
-        if repeated or stalled or rnorm <= 1e-12 * ynorm:
+        stalled = k > 0 and rnorm >= (1.0 - _MIN_RESIDUAL_DROP) * prev_rnorm
+        if stalled or rnorm <= 1e-12 * ynorm:
             break
     return estimate

@@ -6,7 +6,7 @@ import pytest
 from zobcd.core import ConfigurationError, NoiseModel, RngStreams, make_noisy_oracle
 from zobcd.baselines import BaselineConfig, _coordinates, run_baseline, run_fdsa, run_spsa, run_zoscd
 from zobcd.objectives import SparseQuadric
-from zobcd.optimizer import TERM_BUDGET, TERM_TARGET
+from zobcd.optimizer import TERM_MAX_ITERS, TERM_TARGET
 
 
 def make_quadric(d, s, seed=0):
@@ -143,7 +143,7 @@ class TestDispatchAndTraceSchema:
         oracle = noiseless_oracle(q.eval)
         cfg = BaselineConfig(method=method, alpha=0.5, delta=1e-5, budget=10**6, max_iters=4)
         res = run_baseline(oracle, x0, cfg, report_f=q.eval)
-        assert res.termination == TERM_BUDGET
+        assert res.termination == TERM_MAX_ITERS
         tr = res.trace
         assert len(tr) == 5  # initial record plus 4 iterations
         assert list(tr.queries())[0] == 0

@@ -271,6 +271,17 @@ class TestCli:
         doc = json.loads(capsys.readouterr().out)
         assert doc["iterations_to_target"]["unreached_count"] == 0
 
+    def test_iteration_cap_is_recorded_in_the_summary(self, tmp_path, capsys):
+        # a large budget and no target: the run ends on its iteration cap
+        params = dict(_PARAMS, max_iters=3, budget=10**6)
+        del params["target"]
+        out = tmp_path / "results"
+        code = main(["run", "--config", str(write_spec(tmp_path, dict(SPEC_DOC, params=params))), "--out", str(out)])
+        assert code == 0
+        capsys.readouterr()
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [(r["termination"], r["iterations"]) for r in runs] == [("max_iters_reached", 3)] * 2
+
     def test_bad_config_exit_code_1(self, tmp_path, capsys):
         doc = dict(SPEC_DOC, typo_key=1)
         code = main(["run", "--config", str(write_spec(tmp_path, doc))])

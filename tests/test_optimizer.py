@@ -14,6 +14,7 @@ from zobcd.harness import METHOD_NAMES
 from zobcd.objectives import SparseQuadric
 from zobcd.optimizer import (
     TERM_BUDGET,
+    TERM_MAX_ITERS,
     TERM_TARGET,
     ZobcdConfig,
     _make_ensembles,
@@ -112,7 +113,7 @@ class TestRunZobcd:
         q, x0, cfg, oracle = make_quadric_run(256, 1, 8, max_iters=1)
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         f0 = q.eval(x0)
-        assert res.termination == TERM_BUDGET
+        assert res.termination == TERM_MAX_ITERS
         assert res.trace.f_values()[-1] <= 1e-10 * f0
         assert np.linalg.norm(res.x_final[q.support]) <= 1e-5
 
