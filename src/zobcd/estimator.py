@@ -8,27 +8,13 @@ sample directions. CoSaMP then recovers the s-sparse block gradient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure, Oracle
 from zobcd.blocks import BlockPartition
 from zobcd.sampling import MeasurementOperator
-from zobcd.sparse_recovery import CosampConfig, SparseVector, cosamp
-
-
-@dataclass(frozen=True)
-class EstimatorConfig:
-    delta: float
-    cosamp: CosampConfig  # cosamp.s is the block sparsity
-    ensemble: MeasurementOperator  # n == block size
-
-    def __post_init__(self):
-        if not 0 < self.delta < math.inf:
-            raise ConfigurationError(f"query radius must be finite and > 0, got {self.delta}")
-        if self.cosamp.s > self.ensemble.n:
-            raise ConfigurationError(f"sparsity {self.cosamp.s} exceeds block dimension {self.ensemble.n}")
+from zobcd.sparse_recovery import SparseVector, cosamp
 
 
 def estimate_block_gradient(
@@ -36,34 +22,46 @@ def estimate_block_gradient(
     x: np.ndarray,
     p: BlockPartition,
     j: int,
-    cfg: EstimatorConfig,
+    Z: MeasurementOperator,
+    delta: float,
+    s: int,
 ) -> tuple[SparseVector, float]:
-    """Estimate the block-j gradient at x; returns it and the noisy base value f(x)."""
+    """Estimate the s-sparse block-j gradient at x from Z's m directions at
+    radius delta; returns it and the noisy base value f(x).
+
+    A malformed argument is rejected before the first query.
+    """
     idx = p.block_indices(j)
-    Z = cfg.ensemble
     if Z.n != idx.size:
         raise ConfigurationError(f"ensemble dimension {Z.n} != block size {idx.size}")
-    m = Z.m
-    scale = 1.0 / (math.sqrt(m) * cfg.delta)
+    if not 0 < delta < math.inf:
+        raise ConfigurationError(f"query radius must be finite and > 0, got {delta}")
+    if not 1 <= s <= Z.n:
+        raise ConfigurationError(f"need 1 <= s <= n for the block sparsity, got s={s}, n={Z.n}")
+    scale = 1.0 / (math.sqrt(Z.m) * delta)
 
     base = oracle.eval(x)
     if not math.isfinite(base):
         raise NumericalFailure("oracle returned non-finite base value")
 
-    values = oracle.eval_block(x, idx, Z, cfg.delta)
+    values = oracle.eval_block(x, idx, Z, delta)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NumericalFailure(f"oracle returned non-finite value at direction {bad[0]}")
     y = (values - base) * scale
 
-    g_hat = cosamp(Z, y, cfg.cosamp)
-    return g_hat, base
+    return cosamp(Z, y, s), base
 
 
 def theoretical_radius(sigma: float, H: float | None = None, fallback: float = 1e-2) -> float:
-    """Query radius 2*sqrt(sigma/H); falls back when noiseless or H unknown."""
+    """Query radius 2*sqrt(sigma/H); falls back when noiseless or H unknown.
+
+    sigma is the noise bound for bounded noise and the standard deviation for
+    Gaussian noise. It is not ``NoiseModel.level``, which for Gaussian noise
+    is the variance: level 1e-6 gives sigma 1e-3.
+    """
     if not 0 <= sigma < math.inf:
-        raise ConfigurationError(f"noise level must be finite and >= 0, got {sigma}")
+        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0 or H is None:
         return fallback
     if not 0 < H < math.inf:

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from zobcd.core import ConfigurationError, ConvergenceTrace, MAX_INDEX, NumericalFailure, Oracle, RngStreams, finite
 from zobcd.blocks import BlockPartition, random_partition, reshuffle_if_due
-from zobcd.estimator import EstimatorConfig, estimate_block_gradient
+from zobcd.estimator import estimate_block_gradient
 from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher, required_rows
-from zobcd.sparse_recovery import CosampConfig, SparseVector
+from zobcd.sparse_recovery import SparseVector
 
 TERM_BUDGET = "budget_exhausted"
 TERM_TARGET = "target_reached"
@@ -37,7 +37,6 @@ class ZobcdConfig:
     budget: int
     seed: int = 0
     b1: float = 2.0
-    n_cosamp: int = 10
     target: float | None = None
     reshuffle_period: int | None = None
     max_iters: int | None = None
@@ -145,6 +144,8 @@ def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_
     sizes = sorted(set(int(b) for b in p.block_sizes), reverse=True)
     if cfg.variant == "RC" and len(sizes) > 1:
         raise ConfigurationError("ZO-BCD-RC requires d divisible by J (equal blocks)")
+    if s_block > sizes[-1]:
+        raise ConfigurationError(f"block sparsity {s_block} exceeds the smallest block size {sizes[-1]}")
     rows = {n: cfg.m_override or required_rows(s_block, n, cfg.b1) for n in sizes}
     n_max = sizes[0]
     if cfg.variant == "RC":
@@ -176,22 +177,19 @@ def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -
     # 55.00000000000001, and its ceiling would be 56, not 55.
     s_block = max(1, math.ceil(Fraction(repr(float(cfg.block_sparsity_factor))) * cfg.s / cfg.J))
     omega_rng = streams.substream("omega")
-    cosamp_cfg = CosampConfig(s=s_block, n_iters=cfg.n_cosamp)
     ensembles = _make_ensembles(cfg, p, streams, s_block, omega_rng)
-    est_cfgs = {n: EstimatorConfig(cfg.delta, cosamp_cfg, Z) for n, Z in ensembles.items()}
 
     def iterate(x, k, remaining):
-        nonlocal p, est_cfgs
+        nonlocal p, ensembles
         j = int(choice_rng.integers(cfg.J))
-        est_cfg = est_cfgs[int(p.block_sizes[j])]
-        if remaining < est_cfg.ensemble.m + 1:
+        Z = ensembles[int(p.block_sizes[j])]
+        if remaining < Z.m + 1:
             return None
-        g_hat, base = estimate_block_gradient(oracle, x, p, j, est_cfg)
+        g_hat, base = estimate_block_gradient(oracle, x, p, j, Z, cfg.delta, s_block)
         x = step(x, g_hat, cfg.alpha, p, j)
         new_p = reshuffle_if_due(p, k, cfg.reshuffle_period, part_rng)
         if new_p is not p and cfg.variant == "RC":  # fresh circulant rows for the new blocks
-            ((n, c),) = est_cfgs.items()
-            est_cfgs = {n: replace(c, ensemble=c.ensemble.with_new_omega(omega_rng))}
+            ensembles = {n: ens.with_new_omega(omega_rng) for n, ens in ensembles.items()}
         p = new_p
         return x, base
 

@@ -172,6 +172,10 @@ class PartialCirculantEnsemble:
         return self._correlate(u) * self._scale
 
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray:
+        # A non-finite y is rejected before its FFT, which would spread it
+        # over every entry; a finite y can still overflow in the products.
+        if not np.all(np.isfinite(y)):
+            raise NumericalFailure("non-finite CoSaMP proxy")
         proxy = self.adjoint(y)
         if not np.all(np.isfinite(proxy)):
             raise NumericalFailure("non-finite CoSaMP proxy")
@@ -255,7 +259,11 @@ def required_rows(s: int, n: int, b1: float = 2.0) -> int:
         raise ConfigurationError(f"need 1 <= s <= n, got s={s}, n={n}")
     if not 0 < b1 < math.inf:
         raise ConfigurationError(f"b1 must be finite and > 0, got {b1}")
-    m = math.ceil(b1 * s * math.log(n))
-    if m > n:
+    # Compared with n as a float: for a huge b1 the product is inf, which
+    # has no ceiling, and clamps like any other product above n.
+    rows = b1 * s * math.log(n)
+    if rows > n:
+        m = math.ceil(rows) if rows < math.inf else rows
         warnings.warn(f"s={s} needs m={m} rows, clamped to the block size n={n}", stacklevel=2)
-    return min(max(m, s + 1), n)
+        return n
+    return min(max(math.ceil(rows), s + 1), n)

@@ -26,6 +26,10 @@ _MIN_PIVOT_RATIO = 1e-7
 # floor within a fit or two, and the fits after that buy nothing.
 _MIN_RESIDUAL_DROP = 0.01
 
+# The cap on fits per solve. On noisy data the stall exit above ends a
+# solve after two or three fits, well before it.
+_MAX_FITS = 10
+
 
 @dataclass(frozen=True)
 class SparseVector:
@@ -59,18 +63,6 @@ class SparseVector:
         return self.indices.size
 
 
-@dataclass(frozen=True)
-class CosampConfig:
-    s: int
-    n_iters: int = 10
-
-    def __post_init__(self):
-        if self.s < 1:
-            raise ConfigurationError(f"sparsity target must be >= 1, got {self.s}")
-        if self.n_iters < 1:
-            raise ConfigurationError(f"n_iters must be >= 1, got {self.n_iters}")
-
-
 def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Least-squares fit of y on the columns of Z selected by support.
 
@@ -98,10 +90,10 @@ def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -
     return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
-def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=None) -> SparseVector:
-    """CoSaMP recovery of an s-sparse solution to Z v ~= y.
+def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> SparseVector:
+    """CoSaMP recovery of an s-sparse solution to Z v ~= y, for 1 <= s <= n.
 
-    Runs at most ``cfg.n_iters`` iterations and returns the latest iterate.
+    Runs at most ``_MAX_FITS`` iterations and returns the latest iterate.
     It stops earlier at the first of these exits:
 
     - the residual stalls: fit k >= 1 leaves ||r_k|| >= (1 - eps) ||r_{k-1}||
@@ -130,8 +122,8 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     n = Z.n
     if y.shape != (Z.m,):
         raise ValueError(f"expected {Z.m} measurements, got {y.shape}")
-    if cfg.s > n:
-        raise ConfigurationError(f"sparsity target {cfg.s} exceeds ambient dim {n}")
+    if not 1 <= s <= n:
+        raise ConfigurationError(f"need 1 <= s <= n for the sparsity target, got s={s}, n={n}")
 
     ynorm = float(np.linalg.norm(y))
     if not np.isfinite(ynorm):
@@ -142,13 +134,13 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, cfg: CosampConfig, on_iterate=
     estimate = SparseVector.empty(n)
     r = y.copy()  # the residual of the empty estimate, y - 0
     rnorm = ynorm
-    for k in range(cfg.n_iters):
-        candidates = Z.top_adjoint(r, 2 * cfg.s)  # raises NumericalFailure on a non-finite proxy
+    for k in range(_MAX_FITS):
+        candidates = Z.top_adjoint(r, 2 * s)  # raises NumericalFailure on a non-finite proxy
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
         w = restricted_lsq(Z, y, merged)
-        keep_local = top_k_magnitude(w, cfg.s)
+        keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
         r = y - Z.columns(estimate.indices) @ estimate.values
         if not np.all(np.isfinite(r)):

@@ -3,34 +3,33 @@ import pytest
 
 from zobcd.core import ConfigurationError, NoiseModel, NumericalFailure, RngStreams, make_noisy_oracle
 from zobcd.blocks import random_partition
-from zobcd.estimator import EstimatorConfig, estimate_block_gradient, theoretical_radius
+from zobcd.estimator import estimate_block_gradient, theoretical_radius
 from zobcd.objectives import SparseQuadric
 from zobcd.optimizer import TERM_FAILURE, ZobcdConfig, run_zobcd
 from zobcd.sampling import make_rademacher, required_rows
-from zobcd.sparse_recovery import CosampConfig
 
 
 def make_setup(d, J, s_block, seed, b1=2.0):
+    """Streams, a partition, and block 0's (Z, delta, s) estimator arguments."""
     streams = RngStreams(seed)
     p = random_partition(d, J, streams.substream("partition"))
     n = int(p.block_sizes[0])
     m = required_rows(s_block, n, b1=b1)
     Z = make_rademacher(m, n, streams.substream("directions"))
-    cfg = EstimatorConfig(delta=1e-2, cosamp=CosampConfig(s=s_block), ensemble=Z)
-    return streams, p, cfg
+    return streams, p, (Z, 1e-2, s_block)
 
 
 class TestEstimateBlockGradient:
     def test_linear_objective_recovered_exactly(self):
         d, J, s = 128, 2, 4
-        streams, p, cfg = make_setup(d, J, s, seed=0)
+        streams, p, args = make_setup(d, J, s, seed=0)
         gen = streams.substream("objective")
         c = np.zeros(d)
         block0 = p.block_indices(0)
         c[gen.choice(block0, size=s, replace=False)] = gen.standard_normal(s) + 1.0
         oracle = make_noisy_oracle(lambda x: float(c @ x), NoiseModel.none(), streams)
         x = gen.standard_normal(d)
-        g_hat, _ = estimate_block_gradient(oracle, x, p, 0, cfg)
+        g_hat, _ = estimate_block_gradient(oracle, x, p, 0, *args)
         np.testing.assert_allclose(g_hat.to_dense(), c[block0], atol=1e-8)
 
     def test_sparse_quadric_relative_accuracy(self):
@@ -44,60 +43,64 @@ class TestEstimateBlockGradient:
         support = np.sort(gen.choice(p.block_indices(0), size=s, replace=False))
         q = SparseQuadric(d, support, np.ones(s))
         Z = make_rademacher(m, int(p.block_sizes[0]), streams.substream("directions"))
-        cfg = EstimatorConfig(delta=1e-2, cosamp=CosampConfig(s=s), ensemble=Z)
         oracle = make_noisy_oracle(q.eval, NoiseModel.none(), streams)
         x = gen.uniform(-1.0, 1.0, size=d)
         x[support] = np.sign(x[support])
-        g_hat, _ = estimate_block_gradient(oracle, x, p, 0, cfg)
+        g_hat, _ = estimate_block_gradient(oracle, x, p, 0, Z, 1e-2, s)
         g_true = q.grad(x).to_dense()[p.block_indices(0)]
         assert np.linalg.norm(g_hat.to_dense() - g_true) <= 1e-3 * np.linalg.norm(g_true)
 
     def test_query_accounting(self):
         d, J, s = 64, 2, 3
-        streams, p, cfg = make_setup(d, J, s, seed=2)
+        streams, p, args = make_setup(d, J, s, seed=2)
         oracle = make_noisy_oracle(lambda x: float(x.sum()), NoiseModel.none(), streams)
         x = np.zeros(d)
         for _ in range(3):
             before = oracle.query_count
-            estimate_block_gradient(oracle, x, p, 0, cfg)
-            assert oracle.query_count - before == cfg.ensemble.m + 1
+            estimate_block_gradient(oracle, x, p, 0, *args)
+            assert oracle.query_count - before == args[0].m + 1
 
     def test_input_point_unchanged(self):
         d, J, s = 64, 2, 3
-        streams, p, cfg = make_setup(d, J, s, seed=3)
+        streams, p, args = make_setup(d, J, s, seed=3)
         oracle = make_noisy_oracle(lambda x: float(x @ x), NoiseModel.none(), streams)
         x = streams.substream("objective").standard_normal(d)
         x_before = x.copy()
-        estimate_block_gradient(oracle, x, p, 1, cfg)
+        estimate_block_gradient(oracle, x, p, 1, *args)
         assert np.array_equal(x, x_before)
 
     def test_return_base(self):
         # the second return value is the base query f(x) the differences used
         d, J, s = 64, 2, 3
-        streams, p, cfg = make_setup(d, J, s, seed=4)
+        streams, p, args = make_setup(d, J, s, seed=4)
         oracle = make_noisy_oracle(lambda x: 7.5, NoiseModel.gaussian(1e-2), streams)
-        g_hat, base = estimate_block_gradient(oracle, np.zeros(d), p, 0, cfg)
+        g_hat, base = estimate_block_gradient(oracle, np.zeros(d), p, 0, *args)
         replay = make_noisy_oracle(lambda x: 7.5, NoiseModel.gaussian(1e-2), streams)
         assert base == replay.eval(np.zeros(d)) != 7.5
         assert g_hat.dim == int(p.block_sizes[0])
 
     def test_dimension_mismatch_rejected(self):
-        streams, p, cfg = make_setup(64, 2, 3, seed=5)
+        streams, p, args = make_setup(64, 2, 3, seed=5)
         oracle = make_noisy_oracle(lambda x: 0.0, NoiseModel.none(), streams)
         bad_p = random_partition(64, 4, streams.substream("partition"))
         with pytest.raises(ConfigurationError):
-            estimate_block_gradient(oracle, np.zeros(64), bad_p, 0, cfg)
+            estimate_block_gradient(oracle, np.zeros(64), bad_p, 0, *args)
 
     @pytest.mark.parametrize("delta", [0.0, -1e-2, float("nan"), float("inf")])
     def test_bad_radius_rejected(self, delta):
-        _, _, cfg = make_setup(64, 2, 3, seed=5)
-        with pytest.raises(ConfigurationError):
-            EstimatorConfig(delta=delta, cosamp=cfg.cosamp, ensemble=cfg.ensemble)
+        streams, p, (Z, _, s) = make_setup(64, 2, 3, seed=5)
+        oracle = make_noisy_oracle(lambda x: 0.0, NoiseModel.none(), streams)
+        with pytest.raises(ConfigurationError, match="query radius"):
+            estimate_block_gradient(oracle, np.zeros(64), p, 0, Z, delta, s)
+        assert oracle.query_count == 0
 
     def test_sparsity_above_block_dimension_rejected(self):
-        _, _, cfg = make_setup(64, 2, 3, seed=5)
-        with pytest.raises(ConfigurationError):
-            EstimatorConfig(delta=1e-2, cosamp=CosampConfig(s=33), ensemble=cfg.ensemble)
+        streams, p, (Z, delta, _) = make_setup(64, 2, 3, seed=5)
+        oracle = make_noisy_oracle(lambda x: 0.0, NoiseModel.none(), streams)
+        for s in (33, 0):  # blocks of 32 coordinates
+            with pytest.raises(ConfigurationError, match="block sparsity"):
+                estimate_block_gradient(oracle, np.zeros(64), p, 0, Z, delta, s)
+        assert oracle.query_count == 0
 
 
 class Blowup:
@@ -120,7 +123,7 @@ class TestNonFiniteProbe:
     @pytest.mark.parametrize("batched", [True, False], ids=["eval_block", "loop"])
     def test_names_the_direction(self, value, batched):
         d, J, s, k = 64, 2, 3, 5
-        streams, p, cfg = make_setup(d, J, s, seed=7)
+        streams, p, args = make_setup(d, J, s, seed=7)
         obj = Blowup(k, value)
         if batched:
             f = obj.eval
@@ -133,8 +136,8 @@ class TestNonFiniteProbe:
 
         oracle = make_noisy_oracle(f, NoiseModel.gaussian(1e-6), streams)
         with pytest.raises(NumericalFailure, match=f"at direction {k}$"):
-            estimate_block_gradient(oracle, np.zeros(d), p, 0, cfg)
-        assert oracle.query_count == cfg.ensemble.m + 1
+            estimate_block_gradient(oracle, np.zeros(d), p, 0, *args)
+        assert oracle.query_count == args[0].m + 1
 
     def test_run_ends_in_numerical_failure(self):
         d = 40

@@ -10,6 +10,7 @@ Regenerate the fixture (only when a change is meant to alter traces) with:
     PYTHONPATH=src python tests/test_golden_traces.py --write
 """
 
+import contextlib
 import json
 import math
 import sys
@@ -87,6 +88,10 @@ CASES = {
     },
 }
 
+# Cases whose row rule asks for more rows than their blocks have: the count
+# is clamped to the block size with this warning.
+CLAMP_WARNINGS = {"zobcd-r-dense-fallback": "s=6 needs m=28 rows, clamped to the block size n=10"}
+
 
 def _trace_rows(doc: dict) -> list:
     spec = ExperimentSpec(**doc)
@@ -98,7 +103,9 @@ def _trace_rows(doc: dict) -> list:
 def test_trace_matches_golden(name):
     golden = json.loads(FIXTURE.read_text())[name]
     assert golden["spec"] == CASES[name], "fixture spec differs from the case; regenerate it"
-    got = _trace_rows(CASES[name])
+    clamp = CLAMP_WARNINGS.get(name)
+    with pytest.warns(UserWarning, match=clamp) if clamp else contextlib.nullcontext():
+        got = _trace_rows(CASES[name])
     want = golden["trace"]
     assert [r[:2] for r in got] == [r[:2] for r in want]
     for (it, _, f_got), (_, _, f_want) in zip(got, want):

@@ -76,6 +76,8 @@ BAD_INPUTS = {
     # numpy's uniform(-level, level) overflows its range 2 * level
     "noise-bounded-level-beyond-half-max": dict(noise={"kind": "bounded", "level": 1.5e308}),
     "params-max-iters-negative": dict(params=dict(_PARAMS, max_iters=-3)),
+    # the CoSaMP cap is a library constant, no longer a spec key
+    "params-n-cosamp-removed": dict(params=dict(_PARAMS, n_cosamp=10)),
     "objective-missing-d": dict(objective={"name": "sparse-quadric", "s": 10}),
     "objective-fractional-d": dict(objective={"name": "sparse-quadric", "d": 200.5, "s": 10}),
     "objective-missing-s": dict(objective={"name": "sparse-quadric", "d": 200}),
@@ -372,6 +374,23 @@ class TestCli:
         assert not (tmp_path / "o").exists()
         if case == "malformed-trace-row":
             assert "trace_000.csv line 3" in err
+
+    def test_huge_b1_clamps_the_rows_without_a_traceback(self, tmp_path, capsys):
+        # b1 * s_block * ln n overflows to inf: every 100-column block gets
+        # 100 rows, with the clamp warning
+        doc = dict(
+            SPEC_DOC,
+            objective={"name": "sparse-quadric", "d": 400, "s": 12},
+            params=dict(J=4, alpha=0.9, delta=1e-2, budget=10**6, max_iters=2, b1=1e308),
+            repeats=1,
+        )
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="needs m=inf rows, clamped to the block size n=100"):
+            code = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 0
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [(r["iterations"], r["total_queries"]) for r in runs] == [(2, 202)]
 
     def test_list_commands(self, capsys):
         assert main(["list-objectives"]) == 0

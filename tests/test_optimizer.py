@@ -1,5 +1,6 @@
 """Tests for the ZO-BCD driver: stepping, termination, accounting, determinism."""
 
+import contextlib
 import math
 import warnings
 
@@ -99,6 +100,20 @@ class TestConfigValidation:
             res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         assert (n, Z.m) == (5000, 903)
         assert list(res.trace.queries()) == [0, 904]
+
+    @pytest.mark.parametrize(
+        "variant, d, s",
+        [
+            ("R", 41, 37),  # blocks of 11, 10, 10, 10 and s_block = 11
+            ("RC", 40, 40),  # blocks of 10 and s_block = 11
+        ],
+    )
+    def test_block_sparsity_beyond_the_smallest_block_rejected_before_any_query(self, variant, d, s):
+        # m_override bypasses the row rule, which would reject s_block itself
+        q, x0, cfg, oracle = make_quadric_run(d, 4, s, variant=variant, m_override=5, max_iters=1)
+        with pytest.raises(ConfigurationError, match="block sparsity 11 exceeds the smallest block size 10"):
+            run_zobcd(oracle, x0, cfg)
+        assert oracle.query_count == 0
 
     def test_x0_dimension_mismatch(self):
         q, x0, cfg, oracle = make_quadric_run(64, 2, 4, max_iters=1)
@@ -307,7 +322,12 @@ class TestBudgetIsHardCap:
         if method.startswith("zobcd"):
             variant = "R" if method == "zobcd-r" else "RC"
             cfg = ZobcdConfig(variant=variant, d=d, J=J, s=2, alpha=0.5, delta=1e-3, budget=budget, seed=seed)
-            res = run_zobcd(oracle, x0, cfg, report_f=report_f)
+            # blocks of n <= 16 at J = 1 (s_block = 3), and of n = 8 at J = 2
+            # (s_block = 2), are smaller than the row rule's count
+            s_block = math.ceil(1.1 * 2 / J)
+            clamped = math.ceil(cfg.b1 * s_block * math.log(n)) > n
+            with pytest.warns(UserWarning, match="clamped to the block size") if clamped else contextlib.nullcontext():
+                res = run_zobcd(oracle, x0, cfg, report_f=report_f)
         else:
             cfg = BaselineConfig(method=method, alpha=0.1, delta=1e-3, budget=budget, seed=seed)
             res = run_baseline(oracle, x0, cfg, report_f=report_f)

@@ -13,7 +13,7 @@ from zobcd.sampling import (
     make_rademacher,
     required_rows,
 )
-from zobcd.sparse_recovery import CosampConfig, cosamp, top_k_magnitude
+from zobcd.sparse_recovery import cosamp, top_k_magnitude
 
 
 def rng(seed=0):
@@ -106,8 +106,8 @@ class TestColumnMajorRademacher:
         assert np.array_equal(Zi.row_block(3, 17), Z.row_block(3, 17))
         assert Zi.row_block(3, 17).dtype == np.float64
         y = Z.apply(np.eye(Z.n)[5])
-        est = cosamp(Zi, y, CosampConfig(s=1))
-        ref = cosamp(Z, y, CosampConfig(s=1))
+        est = cosamp(Zi, y, 1)
+        ref = cosamp(Z, y, 1)
         assert est.indices.tobytes() == ref.indices.tobytes()
         assert est.values.tobytes() == ref.values.tobytes()
 
@@ -245,8 +245,10 @@ class TestScreenedTopAdjoint:
         Z = make_partial_circulant(8, 16, rng(33)) if circulant else make_rademacher(8, 16, rng(33))
         y = np.ones(8)
         y[3] = np.inf
-        with pytest.raises(NumericalFailure):
-            Z.top_adjoint(y, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any arithmetic on it
+            with pytest.raises(NumericalFailure):
+                Z.top_adjoint(y, 3)
 
     def test_circulant_top_adjoint_is_the_top_of_its_adjoint(self):
         Z = make_partial_circulant(24, 96, rng(34))
@@ -381,6 +383,11 @@ class TestRequiredRows:
         # ceil(4 * 100 * ln 100) = 1843 rows for a 100-column block
         with pytest.warns(UserWarning, match="s=100 needs m=1843 rows, clamped to the block size n=100"):
             assert required_rows(100, 100, b1=4.0) == 100
+
+    def test_huge_b1_clamps_with_the_warning(self):
+        # b1 * s * ln n overflows to inf, which clamps like any product above n
+        with pytest.warns(UserWarning, match="s=5 needs m=inf rows, clamped to the block size n=100"):
+            assert required_rows(5, 100, b1=1e308) == 100
 
     def test_no_warning_without_clamp(self):
         with warnings.catch_warnings():

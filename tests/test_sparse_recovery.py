@@ -1,4 +1,5 @@
 import warnings
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from zobcd.core import NumericalFailure, RngStreams
 from zobcd.sampling import make_partial_circulant, make_rademacher, required_rows
+from zobcd import sparse_recovery
 from zobcd.sparse_recovery import (
-    CosampConfig,
     SparseVector,
     cosamp,
     restricted_lsq,
@@ -145,7 +146,7 @@ class TestRestrictedLsq:
 class TestCosamp:
     def test_zero_measurements(self):
         Z = make_rademacher(16, 64, rng(6))
-        out = cosamp(Z, np.zeros(16), CosampConfig(s=3))
+        out = cosamp(Z, np.zeros(16), 3)
         assert out.nnz == 0 and out.dim == 64
 
     def test_exact_recovery_over_seeds(self):
@@ -153,7 +154,7 @@ class TestCosamp:
         successes = 0
         for seed in range(100):
             Z, g, support = planted_instance(n, s, m, seed, unit=True)
-            est = cosamp(Z, Z.apply(g), CosampConfig(s=s))
+            est = cosamp(Z, Z.apply(g), s)
             if np.array_equal(est.indices, support) and np.allclose(
                 est.values, g[support], atol=1e-8
             ):
@@ -172,7 +173,7 @@ class TestCosamp:
             support = gen.choice(n, size=s, replace=False)
             g = np.zeros(n)
             g[support] = gen.standard_normal(s)
-            est = cosamp(Z, Z.apply(g), CosampConfig(s=s)).to_dense()
+            est = cosamp(Z, Z.apply(g), s).to_dense()
             if set(np.nonzero(est)[0]) == set(support) and np.linalg.norm(est - g) <= 1e-8 * np.linalg.norm(g):
                 successes += 1
         assert successes >= 99
@@ -185,7 +186,7 @@ class TestCosamp:
             Z, g, _ = planted_instance(n, s, m, seed, unit=True)
             e = noise_gen.standard_normal(m)
             e *= 0.01 / np.linalg.norm(e)
-            est = cosamp(Z, Z.apply(g) + e, CosampConfig(s=s))
+            est = cosamp(Z, Z.apply(g) + e, s)
             if np.linalg.norm(est.to_dense() - g) <= 20 * 0.01:
                 successes += 1
         assert successes >= 95
@@ -193,7 +194,7 @@ class TestCosamp:
     def test_output_sparsity_budget(self):
         for seed in range(20):
             Z, g, _ = planted_instance(128, 7, 60, seed)
-            est = cosamp(Z, Z.apply(g) + 0.05 * rng(seed + 1000).standard_normal(60), CosampConfig(s=7))
+            est = cosamp(Z, Z.apply(g) + 0.05 * rng(seed + 1000).standard_normal(60), 7)
             assert est.nnz <= 7
 
     def test_circulant_operator_recovery(self):
@@ -204,7 +205,7 @@ class TestCosamp:
         g = np.zeros(n)
         support = gen.choice(n, size=s, replace=False)
         g[support] = gen.standard_normal(s) + np.sign(gen.standard_normal(s))
-        est = cosamp(Z, Z.apply(g), CosampConfig(s=s))
+        est = cosamp(Z, Z.apply(g), s)
         np.testing.assert_allclose(est.to_dense(), g, atol=1e-7)
 
     def test_monotone_residual(self):
@@ -213,7 +214,7 @@ class TestCosamp:
         for seed in range(100):
             Z, g, _ = planted_instance(96, 4, 40, seed)
             history = []
-            cosamp(Z, Z.apply(g), CosampConfig(s=4), on_iterate=lambda k, e, r: history.append(r))
+            cosamp(Z, Z.apply(g), 4, on_iterate=lambda k, e, r: history.append(r))
             if any(b > a * (1 + 1e-9) for a, b in zip(history, history[1:])):
                 violations += 1
         assert violations <= 1
@@ -229,7 +230,7 @@ class TestCosamp:
             cosamp(
                 Z,
                 Z.apply(g),
-                CosampConfig(s=s),
+                s,
                 on_iterate=lambda k, est, r: errors.append(np.linalg.norm(est.to_dense() - g)),
             )
             for prev, cur in zip(errors, errors[1:]):
@@ -245,7 +246,7 @@ class TestCosamp:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             with pytest.raises(NumericalFailure):
-                cosamp(Z, y, CosampConfig(s=s))
+                cosamp(Z, y, s)
 
     def test_degenerate_sparsity_falls_back(self):
         # s >= n/2 on a square ensemble: the loop's first fit is the full,
@@ -254,7 +255,7 @@ class TestCosamp:
         y = Z.apply(rng(42).standard_normal(16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            est = cosamp(Z, y, CosampConfig(s=10))
+            est = cosamp(Z, y, 10)
             w = restricted_lsq(Z, y, np.arange(16))
         keep = top_k_magnitude(w, 10)
         assert est.indices.tobytes() == keep.tobytes()
@@ -266,10 +267,10 @@ class TestCosamp:
         n=st.integers(2, 120),
         data=st.data(),
         noise=st.sampled_from([0.0, 1e-3]),
-        n_iters=st.integers(1, 11),
+        max_fits=st.integers(1, 11),
         circulant=st.booleans(),
     )
-    def test_half_or_more_of_n_gives_the_full_fit(self, seed, n, data, noise, n_iters, circulant):
+    def test_half_or_more_of_n_gives_the_full_fit(self, seed, n, data, noise, max_fits, circulant):
         s = data.draw(st.integers((n + 1) // 2, n), label="s")
         m = data.draw(st.integers(1, n), label="m")
         gen = rng(seed)
@@ -278,9 +279,9 @@ class TestCosamp:
         g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
         y = Z.apply(g) + noise * gen.standard_normal(m)
         calls = []
-        with warnings.catch_warnings():
+        with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits when m < n
-            est = cosamp(Z, y, CosampConfig(s=s, n_iters=n_iters), on_iterate=recorder(calls))
+            est = cosamp(Z, y, s, on_iterate=recorder(calls))
             w = restricted_lsq(Z, y, np.arange(n))
         keep = top_k_magnitude(w, s)
         # A zero proxy entry keeps its column out of a fit: out of the first
@@ -290,7 +291,7 @@ class TestCosamp:
         # exactly 0 or at 1e-16 by chance.
         assume(Z.top_adjoint(y, 2 * s).size == n)
         r = y - Z.columns(keep) @ w[keep]
-        if n_iters > 1 and np.linalg.norm(r) > 1e-12 * np.linalg.norm(y):
+        if max_fits > 1 and np.linalg.norm(r) > 1e-12 * np.linalg.norm(y):
             assume(np.union1d(keep, Z.top_adjoint(r, 2 * s)).size == n)
         assert est.indices.tobytes() == keep.tobytes()
         assert est.values.tobytes() == w[keep].tobytes()
@@ -303,23 +304,23 @@ class TestCosamp:
 STALL_EPS = 0.01
 
 
-def cosamp_solving_every_iteration(Z, y, cfg, on_iterate=None):
+def cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=None):
     """CoSaMP as the paper states it, written apart from the library: every
     iteration ranks the proxy with ``Z.top_adjoint`` and solves. It stops after
-    n_iters iterations, once a fit k >= 1 lowers the residual norm by less
+    max_fits iterations, once a fit k >= 1 lowers the residual norm by less
     than STALL_EPS of the previous fit's, or once the residual falls to
     1e-12 * ||y||."""
     ynorm = float(np.linalg.norm(y))
     estimate = SparseVector.empty(Z.n)
     r = y.copy()
     norms = []
-    for k in range(cfg.n_iters):
-        candidates = Z.top_adjoint(r, 2 * cfg.s)
+    for k in range(max_fits):
+        candidates = Z.top_adjoint(r, 2 * s)
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
         w = restricted_lsq(Z, y, merged)
-        keep_local = top_k_magnitude(w, cfg.s)
+        keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], Z.n)
         r = y - Z.columns(estimate.indices) @ estimate.values
         norms.append(float(np.linalg.norm(r)))
@@ -344,13 +345,13 @@ NOISY_INSTANCES = dict(
     s=st.integers(1, 6),
     rows=st.floats(0.2, 1.0),
     noise=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]),
-    n_iters=st.integers(1, 14),
+    max_fits=st.integers(1, 14),
     circulant=st.booleans(),
 )
 
 
-def noisy_instance(seed, n, s, rows, noise, n_iters, circulant):
-    """(Z, y, cfg) for a planted s-sparse vector plus Gaussian noise."""
+def noisy_instance(seed, n, s, rows, noise, max_fits, circulant):
+    """(Z, y, s, max_fits) for a planted s-sparse vector plus Gaussian noise."""
     s = min(s, (n - 1) // 2)
     m = max(s + 1, int(rows * n))
     gen = rng(seed)
@@ -358,21 +359,21 @@ def noisy_instance(seed, n, s, rows, noise, n_iters, circulant):
     g = np.zeros(n)
     g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
     y = Z.apply(g) + noise * gen.standard_normal(m)
-    return Z, y, CosampConfig(s=s, n_iters=n_iters)
+    return Z, y, s, max_fits
 
 
 class TestFixedPointExit:
     @settings(max_examples=60, deadline=None)
     @given(**NOISY_INSTANCES)
     def test_equals_running_every_iteration(self, **instance):
-        Z, y, cfg = noisy_instance(**instance)
-        with warnings.catch_warnings():
+        Z, y, s, max_fits = noisy_instance(**instance)
+        with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits at small m
-            got = cosamp(Z, y, cfg)
-            ref = cosamp_solving_every_iteration(Z, y, cfg)
+            got = cosamp(Z, y, s)
+            ref = cosamp_solving_every_iteration(Z, y, s, max_fits)
             calls, ref_calls = [], []
-            observed = cosamp(Z, y, cfg, on_iterate=recorder(calls))
-            cosamp_solving_every_iteration(Z, y, cfg, on_iterate=recorder(ref_calls))
+            observed = cosamp(Z, y, s, on_iterate=recorder(calls))
+            cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=recorder(ref_calls))
         for est in (got, observed):
             assert est.dim == ref.dim
             assert est.indices.tobytes() == ref.indices.tobytes()
@@ -382,16 +383,13 @@ class TestFixedPointExit:
     def test_stops_at_a_repeated_iterate(self, monkeypatch):
         # four fits, each lowering the residual by more than 1 %; the fifth
         # iteration refits the fourth's support, and the stall rule stops there
-        import zobcd.sparse_recovery as sr
-
-        supports, real = [], sr.restricted_lsq
-        monkeypatch.setattr(sr, "restricted_lsq", lambda Z, y, S: supports.append(S.copy()) or real(Z, y, S))
+        supports, real = [], sparse_recovery.restricted_lsq
+        monkeypatch.setattr(sparse_recovery, "restricted_lsq", lambda Z, y, S: supports.append(S.copy()) or real(Z, y, S))
         Z, g, _ = planted_instance(200, 6, 60, seed=52)
         y = Z.apply(g) + 0.05 * rng(53).standard_normal(60)
-        cfg = CosampConfig(s=6, n_iters=10)
         calls, ref_calls = [], []
-        est = cosamp(Z, y, cfg, on_iterate=recorder(calls))
-        cosamp_solving_every_iteration(Z, y, cfg, on_iterate=recorder(ref_calls))
+        est = cosamp(Z, y, 6, on_iterate=recorder(calls))
+        cosamp_solving_every_iteration(Z, y, 6, sparse_recovery._MAX_FITS, on_iterate=recorder(ref_calls))
         assert calls == ref_calls and len(calls) == 5
         assert len(supports) == len(calls)  # one fit per iteration seen
         assert np.array_equal(supports[3], supports[4])  # the fifth fit repeats the fourth's support
@@ -406,14 +404,14 @@ class TestStallExit:
     @settings(max_examples=120, deadline=None)
     @given(**NOISY_INSTANCES)
     def test_stops_on_the_first_stalled_fit(self, **instance):
-        Z, y, cfg = noisy_instance(**instance)
+        Z, y, s, max_fits = noisy_instance(**instance)
         calls = []
-        with warnings.catch_warnings():
+        with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits at small m
-            est = cosamp(Z, y, cfg, on_iterate=recorder(calls))
+            est = cosamp(Z, y, s, on_iterate=recorder(calls))
         if not calls:  # nothing to fit: y = 0, or its proxy has no nonzero entry
             assert est.nnz == 0
-            assert not np.any(y) or top_k_magnitude(Z.adjoint(y), 2 * cfg.s).size == 0
+            assert not np.any(y) or top_k_magnitude(Z.adjoint(y), 2 * s).size == 0
             return
         assert calls[-1][1:3] == (est.indices.tobytes(), est.values.tobytes())
         norms = [c[3] for c in calls]
@@ -421,7 +419,7 @@ class TestStallExit:
         assert all(b < (1 - STALL_EPS) * a for a, b in zip(norms, norms[1:-1]))
         # ... and the last is the first that did not, or another exit fired
         stalled = len(norms) > 1 and not norms[-1] < (1 - STALL_EPS) * norms[-2]
-        capped = len(calls) == cfg.n_iters
+        capped = len(calls) == max_fits
         solved = norms[-1] <= 1e-12 * np.linalg.norm(y)
         assert stalled or capped or solved
 
@@ -432,6 +430,6 @@ class TestStallExit:
         Z = make_rademacher(2000, 4, rng(60))
         y = rng(61).standard_normal(2000)
         calls = []
-        cosamp(Z, y, CosampConfig(s=1, n_iters=10), on_iterate=recorder(calls))
+        cosamp(Z, y, 1, on_iterate=recorder(calls))
         assert calls[0][3] > (1 - STALL_EPS) * np.linalg.norm(y)
         assert len(calls) == 2
