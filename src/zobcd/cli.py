@@ -1,7 +1,9 @@
 """Command-line benchmark runner.
 
+`run` writes one trace_NNN.csv per repeat and a summary.json into its output
+directory, replacing the trace files an earlier run left there; `--seed` and
+`--out` override the spec's seed and the default ./results.
 Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure.
-Environment overrides (seed and output path only): ZOBCD_SEED, ZOBCD_OUT.
 """
 
 from __future__ import annotations
@@ -9,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -26,8 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment spec")
     p_run.add_argument("--config", required=True, help="path to a JSON experiment spec")
     p_run.add_argument("--seed", type=int, default=None, help="override the spec's master seed")
-    p_run.add_argument("--out", default=None, help="output directory (default: ./results)")
-    p_run.add_argument("--format", choices=["csv", "json"], default=None, help="trace file format")
+    p_run.add_argument("--out", default="results", help="output directory (default: ./results)")
 
     p_sum = sub.add_parser("summarize", help="summarize trace files in a directory")
     p_sum.add_argument("--in", dest="in_dir", required=True, help="directory holding trace files")
@@ -40,15 +40,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = ExperimentSpec.from_file(args.config)
-    seed = args.seed if args.seed is not None else os.environ.get("ZOBCD_SEED")
-    if seed is not None:
-        if not str(seed).removeprefix("-").isdigit():
-            raise ConfigurationError(f"ZOBCD_SEED must be an integer, got {seed!r}")
-        spec.seed = int(seed)
-    if args.format is not None:
-        spec.format = args.format
-    out = args.out or os.environ.get("ZOBCD_OUT") or "results"
-    summary = run_experiment(spec, out)
+    if args.seed is not None:
+        spec.seed = args.seed
+    summary = run_experiment(spec, args.out)
     print(json.dumps({k: summary[k] for k in ("target", "iterations_to_target", "queries_to_target")}, indent=1))
     failures = [r for r in summary["runs"] if r["termination"] == TERM_FAILURE]
     return 2 if failures else 0
@@ -56,7 +50,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_summarize(args) -> int:
     in_dir = Path(args.in_dir)
-    paths = sorted(in_dir.glob("trace_*.csv")) + sorted(in_dir.glob("trace_*.json"))
+    paths = sorted(in_dir.glob("trace_*.csv"))
     if not paths:
         raise ConfigurationError(f"no trace files found in {in_dir}")
     target, source = args.target, "--target"

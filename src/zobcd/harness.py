@@ -3,7 +3,8 @@
 An experiment spec is a single JSON document; see README for the schema.
 Each repeat r runs with master seed ``seed + r`` and writes one trace file
 (CSV columns: iteration, cumulative_queries, f_value, compute_nanos), plus a
-shared summary.json.
+shared summary.json, and removes the trace files of an earlier run that it
+does not rewrite.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ class ExperimentSpec:
     seed: int = 0
     noise: dict = field(default_factory=lambda: {"kind": "none", "level": 0.0})
     x0_scale: float = 1.0
-    format: str = "csv"
     record_timing: bool = True
 
     def __post_init__(self):
@@ -85,8 +85,6 @@ class ExperimentSpec:
         _check_finite("x0_scale", self.x0_scale)
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        if self.format not in ("csv", "json"):
-            raise ConfigurationError(f"format must be 'csv' or 'json', got {self.format!r}")
         if not isinstance(self.params, dict):
             raise ConfigurationError("params must be an object")
         config = BaselineConfig if self.method in BASELINES else ZobcdConfig
@@ -97,7 +95,7 @@ class ExperimentSpec:
     def from_file(cls, path: str | Path) -> "ExperimentSpec":
         try:
             doc = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
             raise ConfigurationError(f"cannot read experiment spec {path}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigurationError(f"experiment spec {path} must be a JSON object")
@@ -123,41 +121,39 @@ def run_single(spec: ExperimentSpec, run_seed: int) -> RunResult:
     return run_zobcd(oracle, x0, cfg, report_f=obj.eval)
 
 
-def _write_trace(trace: ConvergenceTrace, path: Path, fmt: str, record_timing: bool):
-    if fmt == "csv":
-        lines = [f"{it},{q},{f!r},{ns if record_timing else 0}\n" for it, q, f, ns in trace.records]
-        path.write_text(",".join(TRACE_COLUMNS) + "\n" + "".join(lines))
-    else:
-        doc = [
-            dict(zip(TRACE_COLUMNS, (it, q, f, ns if record_timing else 0))) for it, q, f, ns in trace.records
-        ]
-        path.write_text(json.dumps(doc, indent=1) + "\n")
+def _write_trace(trace: ConvergenceTrace, path: Path, record_timing: bool):
+    lines = [f"{it},{q},{f!r},{ns if record_timing else 0}\n" for it, q, f, ns in trace.records]
+    path.write_text(",".join(TRACE_COLUMNS) + "\n" + "".join(lines))
 
 
 def read_trace(path: str | Path) -> ConvergenceTrace:
-    """Load a trace file; a malformed row is a ConfigurationError naming where it is."""
+    """Load a trace file; an unreadable file or a malformed row is a ConfigurationError naming where it is."""
     path = Path(path)
-    if path.suffix == ".json":
-        try:
-            rows = [[row[c] for c in TRACE_COLUMNS] for row in json.loads(path.read_text())]
-        except (ValueError, TypeError, KeyError) as exc:
-            raise ConfigurationError(f"{path} is not a trace file ({exc})") from exc
-        numbered = [(f"record {r}", row) for r, row in enumerate(rows)]
-    else:
+    try:
         lines = path.read_text().splitlines()
-        if not lines or lines[0] != ",".join(TRACE_COLUMNS):
-            raise ConfigurationError(f"{path} is not a trace file")
-        numbered = [(f"line {n}", line.split(",")) for n, line in enumerate(lines[1:], start=2)]
-    if not numbered:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8
+        raise ConfigurationError(f"cannot read trace file {path}: {exc}") from exc
+    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+        raise ConfigurationError(f"{path} is not a trace file")
+    if len(lines) == 1:
         raise ConfigurationError(f"{path} holds no trace records")
     trace = ConvergenceTrace()
-    for where, row in numbered:
+    for n, line in enumerate(lines[1:], start=2):
         try:
-            it, q, f, ns = row
+            it, q, f, ns = line.split(",")
             trace.append(int(it), int(q), float(f), int(ns))
-        except (ValueError, TypeError) as exc:
-            raise ConfigurationError(f"{path} {where}: malformed trace row ({exc})") from exc
+        except ValueError as exc:
+            raise ConfigurationError(f"{path} line {n}: malformed trace row ({exc})") from exc
     return trace
+
+
+def _remove_stale_traces(out: Path, repeats: int):
+    """Delete the files ``trace_<r:03d>.csv`` in out for repeats r >= repeats."""
+    for path in list(out.glob("trace_*.csv")):
+        index = path.name[len("trace_") : -len(".csv")]
+        ours = index.isascii() and index.isdigit() and path.name == f"trace_{int(index):03d}.csv"
+        if ours and int(index) >= repeats and path.is_file():
+            path.unlink()
 
 
 def _first_hit(trace: ConvergenceTrace, target: float | None):
@@ -218,18 +214,18 @@ def summarize(traces: list[ConvergenceTrace], target: float | None, terminations
 def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
     """Execute all repeats, write trace files and summary.json, return the summary."""
     out = Path(out_dir)
-    ext = "csv" if spec.format == "csv" else "json"
     traces, terminations = [], []
     for r in range(spec.repeats):
         result = run_single(spec, spec.seed + r)
         if r == 0:
             # Only now: every config value is checked while the first run is
-            # set up, so a rejected spec leaves no directory behind.
+            # set up, so a rejected spec creates no directory and empties none.
             try:
                 out.mkdir(parents=True, exist_ok=True)
+                _remove_stale_traces(out, spec.repeats)
             except OSError as exc:
-                raise ConfigurationError(f"cannot create output directory {out}: {exc}") from exc
-        _write_trace(result.trace, out / f"trace_{r:03d}.{ext}", spec.format, spec.record_timing)
+                raise ConfigurationError(f"cannot prepare output directory {out}: {exc}") from exc
+        _write_trace(result.trace, out / f"trace_{r:03d}.csv", spec.record_timing)
         traces.append(result.trace)
         terminations.append(result.termination)
     summary = summarize(traces, spec.params.get("target"), terminations)

@@ -63,22 +63,18 @@ class SparseVector:
         return self.indices.size
 
 
-def restricted_lsq(Z: MeasurementOperator, y: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Least-squares fit of y on the columns of Z selected by support.
+def restricted_lsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares fit of y on the columns of the gathered matrix A.
 
-    Solves the normal equations A^T A w = A^T y of the gathered columns A by
-    Cholesky. With more columns than rows, or numerically dependent columns,
-    returns the minimum-norm least-squares solution instead.
+    Solves the normal equations A^T A w = A^T y by Cholesky. With more
+    columns than rows, or numerically dependent columns, returns the
+    minimum-norm least-squares solution instead.
     """
-    support = np.asarray(support, dtype=np.intp)
-    if support.size == 0:
+    m, k = A.shape
+    if k == 0:
         return np.empty(0)
-    A = Z.columns(support)
-    if support.size > Z.m:
-        warnings.warn(
-            f"restricted least squares with |support|={support.size} > m={Z.m} is underdetermined",
-            stacklevel=2,
-        )
+    if k > m:
+        warnings.warn(f"restricted least squares with |support|={k} > m={m} is underdetermined", stacklevel=2)
     else:
         try:
             L = np.linalg.cholesky(A.T @ A)
@@ -139,10 +135,11 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> Sp
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
-        w = restricted_lsq(Z, y, merged)
+        A = Z.columns(merged)
+        w = restricted_lsq(A, y)
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
-        r = y - Z.columns(estimate.indices) @ estimate.values
+        r = y - A[:, keep_local] @ estimate.values
         if not np.all(np.isfinite(r)):
             raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")
         prev_rnorm, rnorm = rnorm, float(np.linalg.norm(r))

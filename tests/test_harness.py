@@ -93,7 +93,21 @@ BAD_INPUTS = {
     "x0-scale-inf": dict(x0_scale=float("inf")),
     "objective-coeff-nan": dict(objective={"name": "sparse-quadric", "d": 200, "s": 10, "coeff": float("nan")}),
     "record-timing-string": dict(record_timing="false"),
+    # traces are CSV only; the JSON encoding and its spec key are gone
+    "spec-format-removed": dict(format="csv"),
     "malformed-trace-row": None,
+    "trace-not-utf8": None,
+    "trace-is-a-directory": None,
+    "spec-not-utf8": None,
+}
+TRACE_HEADER = b"iteration,cumulative_queries,f_value,compute_nanos\n"
+# The file each None case above writes, as (name, bytes); bytes None makes a
+# directory of that name. A trace_* file goes to `zobcd summarize`, a spec to `zobcd run`.
+BAD_FILES = {
+    "malformed-trace-row": ("trace_000.csv", TRACE_HEADER + b"0,0,1.5,0\n1,10,oops,7\n"),
+    "trace-not-utf8": ("trace_000.csv", TRACE_HEADER + b"0,0,1.5,0\n\xff\n"),
+    "trace-is-a-directory": ("trace_000.csv", None),
+    "spec-not-utf8": ("spec.json", b"\xff{}"),
 }
 
 
@@ -160,13 +174,11 @@ class TestRunSingle:
 
 
 class TestTraceFiles:
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_experiment_writes_traces_and_summary(self, tmp_path, fmt):
-        spec = ExperimentSpec(**dict(SPEC_DOC, format=fmt))
+    def test_experiment_writes_traces_and_summary(self, tmp_path):
+        spec = ExperimentSpec(**SPEC_DOC)
         out = tmp_path / "results"
         summary = run_experiment(spec, out)
-        files = sorted(out.glob(f"trace_*.{fmt}"))
-        assert [f.name for f in files] == [f"trace_000.{fmt}", f"trace_001.{fmt}"]
+        assert sorted(f.name for f in out.iterdir()) == ["summary.json", "trace_000.csv", "trace_001.csv"]
         assert (out / "summary.json").exists()
         assert summary["iterations_to_target"]["unreached_count"] == 0
         assert summary["spec"]["method"] == "zobcd-r"
@@ -190,24 +202,29 @@ class TestTraceFiles:
         trace = read_trace(out / "trace_000.csv")
         assert all(r.compute_nanos == 0 for r in trace.records)
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("record_timing", [True, False])
-    def test_trace_bytes_equal_the_row_by_row_format(self, tmp_path, fmt, record_timing):
+    def test_trace_bytes_equal_the_row_by_row_format(self, tmp_path, record_timing):
         trace = ConvergenceTrace()
         for k, f in enumerate([2.5, 1e-300, 0.1 + 0.2, 123456789.125, float("nan")]):
             trace.append(k, 3 * k + 1, f, 1000 + k)
-        path = tmp_path / f"t.{fmt}"
-        _write_trace(trace, path, fmt, record_timing)
-        rows = [(r.iteration, r.cumulative_queries, r.f_value, r.compute_nanos if record_timing else 0)
-                for r in trace.records]
-        if fmt == "csv":
-            lines = ["iteration,cumulative_queries,f_value,compute_nanos"]
-            lines += [f"{it},{q},{repr(f)},{ns}" for it, q, f, ns in rows]
-            expected = "\n".join(lines) + "\n"
-        else:
-            keys = ("iteration", "cumulative_queries", "f_value", "compute_nanos")
-            expected = json.dumps([dict(zip(keys, row)) for row in rows], indent=1) + "\n"
-        assert path.read_bytes() == expected.encode()
+        path = tmp_path / "t.csv"
+        _write_trace(trace, path, record_timing)
+        lines = ["iteration,cumulative_queries,f_value,compute_nanos"]
+        lines += [f"{r.iteration},{r.cumulative_queries},{repr(r.f_value)},{r.compute_nanos if record_timing else 0}"
+                  for r in trace.records]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_rerun_removes_only_the_stale_trace_files(self, tmp_path):
+        out = tmp_path / "results"
+        run_experiment(ExperimentSpec(**dict(SPEC_DOC, repeats=3)), out)
+        others = ["notes.txt", "spec.json", "trace_01.csv", "trace_0002.csv", "trace_x.csv", "trace_001.json"]
+        for name in others:
+            (out / name).write_text("kept\n")
+        (out / "trace_005.csv").mkdir()
+        run_experiment(ExperimentSpec(**dict(SPEC_DOC, repeats=1)), out)
+        names = others + ["summary.json", "trace_000.csv", "trace_005.csv"]
+        assert sorted(f.name for f in out.iterdir()) == sorted(names)
+        assert all((out / name).read_text() == "kept\n" for name in others)
 
     def test_repeated_run_is_byte_identical(self, tmp_path):
         spec = ExperimentSpec(**SPEC_DOC)
@@ -325,46 +342,46 @@ class TestCli:
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
         assert named in err
 
-    def test_seed_env_override(self, tmp_path, capsys, monkeypatch):
-        spec_path = write_spec(tmp_path)
-        out_env = tmp_path / "env_results"
-        monkeypatch.setenv("ZOBCD_SEED", "41")
-        monkeypatch.setenv("ZOBCD_OUT", str(out_env))
-        assert main(["run", "--config", str(spec_path)]) == 0
-        capsys.readouterr()
-        summary = json.loads((out_env / "summary.json").read_text())
-        assert summary["spec"]["seed"] == 41
-
-    def test_non_integer_seed_env_exit_code_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ZOBCD_SEED", "forty")
-        assert main(["run", "--config", str(write_spec(tmp_path)), "--out", str(tmp_path / "o")]) == 1
-        assert capsys.readouterr().err.startswith("configuration error:")
-
-    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-3")])
-    def test_negative_seed_exit_code_1(self, tmp_path, capsys, monkeypatch, flag, env):
-        if env is not None:
-            monkeypatch.setenv("ZOBCD_SEED", env)
-        argv = ["run", "--config", str(write_spec(tmp_path)), "--out", str(tmp_path / "o"), *flag]
+    def test_negative_seed_exit_code_1(self, tmp_path, capsys):
+        argv = ["run", "--config", str(write_spec(tmp_path)), "--out", str(tmp_path / "o"), "--seed", "-1"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
 
-    def test_seed_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        spec_path = write_spec(tmp_path)
-        monkeypatch.setenv("ZOBCD_SEED", "41")
+    def test_seed_flag_overrides_spec_seed(self, tmp_path, capsys):
         out = tmp_path / "flag_results"
-        assert main(["run", "--config", str(spec_path), "--seed", "17", "--out", str(out)]) == 0
+        assert main(["run", "--config", str(write_spec(tmp_path)), "--seed", "17", "--out", str(out)]) == 0
         capsys.readouterr()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["spec"]["seed"] == 17
+        assert [r["total_queries"] for r in summary["runs"]] == [
+            run_single(ExperimentSpec(**SPEC_DOC), seed).trace.queries()[-1] for seed in (17, 18)
+        ]
+
+    def test_rerun_replaces_the_traces_of_an_earlier_run(self, tmp_path, capsys):
+        # two repeats, then one into the same directory: trace_001.csv of the
+        # first run must not reach `zobcd summarize`
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(write_spec(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        spec = write_spec(tmp_path, dict(SPEC_DOC, repeats=1, seed=7))
+        assert main(["run", "--config", str(spec), "--out", str(out)]) == 0
+        ran = json.loads(capsys.readouterr().out)
+        assert main(["summarize", "--in", str(out)]) == 0
+        summarized = json.loads(capsys.readouterr().out)
+        assert len(summarized["runs"]) == 1
+        assert summarized["queries_to_target"] == ran["queries_to_target"]
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, case):
-        if case == "malformed-trace-row":
-            (tmp_path / "trace_000.csv").write_text(
-                "iteration,cumulative_queries,f_value,compute_nanos\n0,0,1.5,0\n1,10,oops,7\n"
-            )
-            code = main(["summarize", "--in", str(tmp_path)])
+        if BAD_INPUTS[case] is None:
+            name, content = BAD_FILES[case]
+            path = tmp_path / name
+            path.mkdir() if content is None else path.write_bytes(content)
+            if name.startswith("trace_"):
+                code = main(["summarize", "--in", str(tmp_path)])
+            else:
+                code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
         else:
             doc = dict(SPEC_DOC, **BAD_INPUTS[case])
             code = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(tmp_path / "o")])
@@ -372,6 +389,8 @@ class TestCli:
         assert code == 1
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
         assert not (tmp_path / "o").exists()
+        if BAD_INPUTS[case] is None:
+            assert name in err
         if case == "malformed-trace-row":
             assert "trace_000.csv line 3" in err
 

@@ -84,36 +84,29 @@ class TestSparseVector:
 class TestRestrictedLsq:
     def test_empty_support(self):
         Z = make_rademacher(8, 16, rng(1))
-        assert restricted_lsq(Z, np.ones(8), np.array([], dtype=int)).size == 0
+        assert restricted_lsq(Z.columns(np.array([], dtype=int)), np.ones(8)).size == 0
 
     def test_orthonormal_rows_exact(self):
-        # 10x4 operator with orthonormal columns: pseudo-inverse is the transpose
+        # 10x4 matrix with orthonormal columns: pseudo-inverse is the transpose
         gen = rng(2)
         Q, _ = np.linalg.qr(gen.standard_normal((10, 4)))
-
-        class Op:
-            m, n = 10, 4
-
-            def columns(self, idx):
-                return Q[:, idx]
-
         w_true = gen.standard_normal(4)
         y = Q @ w_true
-        w = restricted_lsq(Op(), y, np.arange(4))
+        w = restricted_lsq(Q, y)
         np.testing.assert_allclose(w, w_true, atol=1e-10)
 
     def test_overdetermined_matches_dense_qr_oracle(self):
         Z = make_rademacher(32, 64, rng(3))
         support = np.array([4, 20, 41])
         y = rng(4).standard_normal(32)
-        w = restricted_lsq(Z, y, support)
+        w = restricted_lsq(Z.columns(support), y)
         expected, *_ = np.linalg.lstsq(Z.columns(support), y, rcond=None)
         np.testing.assert_allclose(w, expected, rtol=1e-8, atol=1e-10)
 
     def test_underdetermined_warns(self):
         Z = make_rademacher(4, 64, rng(5))
         with pytest.warns(UserWarning, match="underdetermined"):
-            restricted_lsq(Z, np.ones(4), np.arange(10))
+            restricted_lsq(Z.columns(np.arange(10)), np.ones(4))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 12), st.data())
@@ -128,17 +121,9 @@ class TestRestrictedLsq:
             i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
             cols[:, j] = data.draw(st.sampled_from([1.0, -1.0]), label="sign") * cols[:, i]
         y = gen.standard_normal(m)
-
-        class Op:
-            def __init__(self):
-                self.m, self.n = m, k
-
-            def columns(self, idx):
-                return cols[:, idx] / np.sqrt(m)
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the underdetermined case warns
-            w = restricted_lsq(Op(), y, np.arange(k))
+            w = restricted_lsq(cols / np.sqrt(m), y)
         expected = np.linalg.lstsq(cols / np.sqrt(m), y, rcond=None)[0]
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-9)
 
@@ -256,7 +241,7 @@ class TestCosamp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = cosamp(Z, y, 10)
-            w = restricted_lsq(Z, y, np.arange(16))
+            w = restricted_lsq(Z.columns(np.arange(16)), y)
         keep = top_k_magnitude(w, 10)
         assert est.indices.tobytes() == keep.tobytes()
         assert est.values.tobytes() == w[keep].tobytes()
@@ -282,7 +267,7 @@ class TestCosamp:
         with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits when m < n
             est = cosamp(Z, y, s, on_iterate=recorder(calls))
-            w = restricted_lsq(Z, y, np.arange(n))
+            w = restricted_lsq(Z.columns(np.arange(n)), y)
         keep = top_k_magnitude(w, s)
         # A zero proxy entry keeps its column out of a fit: out of the first
         # one if y's proxy has it, and out of the refit if the residual's does
@@ -319,10 +304,13 @@ def cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=None):
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
-        w = restricted_lsq(Z, y, merged)
+        A = Z.columns(merged)
+        w = restricted_lsq(A, y)
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], Z.n)
-        r = y - Z.columns(estimate.indices) @ estimate.values
+        # from the fit's own columns, as the library does: BLAS rounds a
+        # product with RC's C-ordered Z.columns copy differently
+        r = y - A[:, keep_local] @ estimate.values
         norms.append(float(np.linalg.norm(r)))
         if on_iterate is not None:
             on_iterate(k, estimate, norms[-1])
@@ -383,16 +371,16 @@ class TestFixedPointExit:
     def test_stops_at_a_repeated_iterate(self, monkeypatch):
         # four fits, each lowering the residual by more than 1 %; the fifth
         # iteration refits the fourth's support, and the stall rule stops there
-        supports, real = [], sparse_recovery.restricted_lsq
-        monkeypatch.setattr(sparse_recovery, "restricted_lsq", lambda Z, y, S: supports.append(S.copy()) or real(Z, y, S))
+        gathers, real = [], sparse_recovery.restricted_lsq
+        monkeypatch.setattr(sparse_recovery, "restricted_lsq", lambda A, y: gathers.append(A.copy()) or real(A, y))
         Z, g, _ = planted_instance(200, 6, 60, seed=52)
         y = Z.apply(g) + 0.05 * rng(53).standard_normal(60)
         calls, ref_calls = [], []
         est = cosamp(Z, y, 6, on_iterate=recorder(calls))
         cosamp_solving_every_iteration(Z, y, 6, sparse_recovery._MAX_FITS, on_iterate=recorder(ref_calls))
         assert calls == ref_calls and len(calls) == 5
-        assert len(supports) == len(calls)  # one fit per iteration seen
-        assert np.array_equal(supports[3], supports[4])  # the fifth fit repeats the fourth's support
+        assert len(gathers) == len(calls)  # one fit per iteration seen
+        assert np.array_equal(gathers[3], gathers[4])  # the fifth fit repeats the fourth's columns
         norms = [c[3] for c in calls]
         assert all(b < (1 - STALL_EPS) * a for a, b in zip(norms[:-2], norms[1:-1]))
         # the refit is the last iterate, its predecessor bit for bit, seen once
