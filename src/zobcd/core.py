@@ -103,7 +103,8 @@ class Oracle:
 
     When ``f`` is the bound ``eval`` method of an object that also has an
     ``eval_block(x, idx, Z, delta)`` method, ``eval_block`` hands the whole
-    batch to it; any other ``f`` is called once per row.
+    batch to it; any other ``f`` is called once per row i, at
+    x + delta * ``Z.row(i)`` on the block.
 
     The benchmark rebinds ``eval`` on the class to time and count queries
     (``eval_block`` it leaves alone), so ``eval`` stays a plain method, and
@@ -160,14 +161,9 @@ class Oracle:
             xw = x.copy()
             save = xw[idx]
             values = np.empty(Z.m)
-            # The probes of about 1 MB of rows at a time, each save + delta * row.
-            per_block = max(1, 2**17 // Z.n)
-            for start in range(0, Z.m, per_block):
-                probes = Z.row_block(start, min(start + per_block, Z.m)) * delta
-                probes += save
-                for i, probe in enumerate(probes, start):
-                    xw[idx] = probe
-                    values[i] = self._f(xw)
+            for i in range(Z.m):
+                xw[idx] = save + delta * Z.row(i)
+                values[i] = self._f(xw)
         if self._draw:
             values = values + self._draw(size=Z.m)
         self._eval_nanos += perf_counter_ns() - t0

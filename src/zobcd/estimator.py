@@ -53,8 +53,8 @@ def estimate_block_gradient(
     return cosamp(Z, y, s), base
 
 
-def theoretical_radius(sigma: float, H: float | None = None, fallback: float = 1e-2) -> float:
-    """Query radius 2*sqrt(sigma/H); falls back when noiseless or H unknown.
+def theoretical_radius(sigma: float, H: float | None = None) -> float:
+    """Query radius 2*sqrt(sigma/H); 1e-2 when noiseless or H unknown.
 
     sigma is the noise bound for bounded noise and the standard deviation for
     Gaussian noise. It is not ``NoiseModel.level``, which for Gaussian noise
@@ -63,7 +63,7 @@ def theoretical_radius(sigma: float, H: float | None = None, fallback: float = 1
     if not 0 <= sigma < math.inf:
         raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0 or H is None:
-        return fallback
+        return 1e-2
     if not 0 < H < math.inf:
         raise ConfigurationError(f"Hessian bound must be finite and > 0, got {H}")
     return 2.0 * math.sqrt(sigma / H)

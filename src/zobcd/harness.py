@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from zobcd.core import MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, finite, make_noisy_oracle
+from zobcd.core import MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, make_noisy_oracle
 from zobcd.baselines import BASELINES, BaselineConfig, run_baseline
 from zobcd.objectives import OBJECTIVES, make_objective
 from zobcd.optimizer import RunResult, ZobcdConfig, run_zobcd
@@ -29,12 +29,6 @@ TRACE_COLUMNS = ("iteration", "cumulative_queries", "f_value", "compute_nanos")
 def _check_number(name: str, value, integral: bool = False):
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
         raise ConfigurationError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
-
-
-def _check_finite(name: str, value):
-    _check_number(name, value)
-    if not finite(value):
-        raise ConfigurationError(f"{name} must be finite, got {value!r}")
 
 
 def _check_fields(where: str, doc: dict, fields: dict):
@@ -63,13 +57,12 @@ class ExperimentSpec:
     repeats: int = 1
     seed: int = 0
     noise: dict = field(default_factory=lambda: {"kind": "none", "level": 0.0})
-    x0_scale: float = 1.0
     record_timing: bool = True
 
     def __post_init__(self):
         if self.method not in METHOD_NAMES:
             raise ConfigurationError(f"unknown method {self.method!r} (choose from {METHOD_NAMES})")
-        for key, allowed in (("objective", {"name", "d", "s", "coeff"}), ("noise", {"kind", "level"})):
+        for key, allowed in (("objective", {"name", "d", "s"}), ("noise", {"kind", "level"})):
             doc = getattr(self, key)
             if not isinstance(doc, dict) or set(doc) - allowed:
                 raise ConfigurationError(f"{key} must be an object with keys among {sorted(allowed)}")
@@ -81,8 +74,6 @@ class ExperimentSpec:
         max_d = MAX_INDEX // 8  # x0 holds d float64s
         if not 1 <= self.objective["s"] <= self.objective["d"] <= max_d:
             raise ConfigurationError(f"objective needs 1 <= s <= d <= {max_d}, got {self.objective}")
-        _check_finite("objective.coeff", self.objective.get("coeff", 1.0))
-        _check_finite("x0_scale", self.x0_scale)
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
         if not isinstance(self.params, dict):
@@ -108,8 +99,8 @@ def run_single(spec: ExperimentSpec, run_seed: int) -> RunResult:
     streams = RngStreams(run_seed)
     obj_rng = streams.substream("objective")
     o = spec.objective
-    obj = make_objective(o["name"], int(o["d"]), int(o["s"]), obj_rng, coeff=float(o.get("coeff", 1.0)))
-    x0 = spec.x0_scale * obj_rng.standard_normal(obj.d)
+    obj = make_objective(o["name"], int(o["d"]), int(o["s"]), obj_rng)
+    x0 = obj_rng.standard_normal(obj.d)
     noise = NoiseModel(spec.noise.get("kind", "none"), spec.noise.get("level", 0.0))
     oracle = make_noisy_oracle(obj.eval, noise, streams)
 
@@ -121,9 +112,16 @@ def run_single(spec: ExperimentSpec, run_seed: int) -> RunResult:
     return run_zobcd(oracle, x0, cfg, report_f=obj.eval)
 
 
+def _write(path: Path, text: str):
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from exc
+
+
 def _write_trace(trace: ConvergenceTrace, path: Path, record_timing: bool):
     lines = [f"{it},{q},{f!r},{ns if record_timing else 0}\n" for it, q, f, ns in trace.records]
-    path.write_text(",".join(TRACE_COLUMNS) + "\n" + "".join(lines))
+    _write(path, ",".join(TRACE_COLUMNS) + "\n" + "".join(lines))
 
 
 def read_trace(path: str | Path) -> ConvergenceTrace:
@@ -234,10 +232,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         "method": spec.method,
         "params": spec.params,
         "noise": spec.noise,
-        "x0_scale": spec.x0_scale,
         "repeats": spec.repeats,
         "seed": spec.seed,
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1)
+    _write(out / "summary.json", json.dumps(summary, indent=1))
     return summary

@@ -39,9 +39,9 @@ class SparseQuadric:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def random(cls, d: int, s: int, rng: np.random.Generator, coeff: float = 1.0) -> "SparseQuadric":
+    def random(cls, d: int, s: int, rng: np.random.Generator) -> "SparseQuadric":
         support = rng.choice(d, size=s, replace=False)
-        return cls(d, support, np.full(s, coeff))
+        return cls(d, support, np.ones(s))
 
     @property
     def s(self) -> int:
@@ -128,10 +128,10 @@ class MaxSSumSquared:
 OBJECTIVES = ("sparse-quadric", "max-s-sum-squared")
 
 
-def make_objective(name: str, d: int, s: int, rng: np.random.Generator, coeff: float = 1.0):
+def make_objective(name: str, d: int, s: int, rng: np.random.Generator):
     """Objective factory for CLI selection; support drawn from rng."""
     if name == "sparse-quadric":
-        return SparseQuadric.random(d, s, rng, coeff)
+        return SparseQuadric.random(d, s, rng)
     if name == "max-s-sum-squared":
         return MaxSSumSquared(d, s)
     raise ConfigurationError(f"unknown objective: {name!r} (choose from {OBJECTIVES})")

@@ -24,16 +24,18 @@ from zobcd.core import MAX_INDEX, ConfigurationError, NumericalFailure
 
 
 class MeasurementOperator(Protocol):
-    """An m x n ensemble, as sparse recovery and the gradient estimator use it."""
+    """An m x n ensemble, as the library calls it.
+
+    Both ensembles also have ``apply`` and ``adjoint``, the scaled forward
+    and transpose products, which tests use as references; nothing calls
+    them through this protocol.
+    """
 
     m: int
     n: int
 
     def row(self, i: int) -> np.ndarray: ...  # unscaled +-1 sample direction
-    def row_block(self, start: int, stop: int) -> np.ndarray: ...  # unscaled rows start..stop-1
     def directions(self, cols: np.ndarray) -> np.ndarray: ...  # unscaled m x |cols| gather
-    def apply(self, v: np.ndarray) -> np.ndarray: ...  # scaled forward product
-    def adjoint(self, y: np.ndarray) -> np.ndarray: ...  # scaled transpose product
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray: ...  # top k of adjoint(y), for ranking only
     def columns(self, idx: np.ndarray) -> np.ndarray: ...  # scaled column gather
 
@@ -110,11 +112,6 @@ class RademacherEnsemble:
     def row(self, i: int) -> np.ndarray:
         return self.cols[:, i].astype(np.float64)
 
-    def row_block(self, start: int, stop: int) -> np.ndarray:
-        # Copy out the contiguous pieces first and transpose that small copy:
-        # a transposing copy straight from ``cols`` strides across it per row.
-        return self.cols[:, start:stop].astype(np.float64).T.copy()
-
     def directions(self, cols: np.ndarray) -> np.ndarray:
         # A gather of contiguous rows of ``cols``, transposed: an F-ordered
         # m x |cols| array. Keep that order: BLAS rounds products on C- and
@@ -184,9 +181,6 @@ class PartialCirculantEnsemble:
     def row(self, i: int) -> np.ndarray:
         o = int(self.omega[i])
         return self._zz[o : o + self.n]
-
-    def row_block(self, start: int, stop: int) -> np.ndarray:
-        return self._zz[self.omega[start:stop, None] + np.arange(self.n)]
 
     def directions(self, cols: np.ndarray) -> np.ndarray:
         cols = np.asarray(cols, dtype=np.intp)

@@ -16,7 +16,7 @@ from zobcd.core import (
     make_noisy_oracle,
 )
 from zobcd.objectives import MaxSSumSquared, SparseQuadric
-from zobcd.sampling import make_partial_circulant, make_rademacher
+from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher
 
 NOISES = [NoiseModel.none(), NoiseModel.bounded(0.1), NoiseModel.gaussian(1e-2)]
 
@@ -120,10 +120,13 @@ def _sequential(f, noise, x, idx, Z, delta, skip=0):
 
 class TestEvalBlock:
     @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.kind)
-    @pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
+    @pytest.mark.parametrize("operator", ["R", "RC", "R-view"])
     @pytest.mark.parametrize("objective", ["quadric", "maxsum", "callable"])
-    def test_equals_sequential_evals(self, noise, circulant, objective):
-        x, idx, Z = _block_case(1, circulant)
+    def test_equals_sequential_evals(self, noise, operator, objective):
+        x, idx, Z = _block_case(1, operator == "RC")
+        if operator == "R-view":  # a smaller block's view of a master, as ZO-BCD-R builds it for unequal blocks
+            master = make_rademacher(Z.m + 4, Z.n + 10, np.random.default_rng(5))
+            Z = RademacherEnsemble(cols=master.cols[: Z.n, : Z.m])
         obj = {"quadric": SparseQuadric.random(60, 7, np.random.default_rng(2)), "maxsum": MaxSSumSquared(60, 5)}
         f = obj[objective].eval if objective in obj else (lambda v: float(np.sin(v).sum()))
         oracle = make_noisy_oracle(f, noise, RngStreams(3))
@@ -137,8 +140,8 @@ class TestEvalBlock:
     @pytest.mark.parametrize("noise", NOISES, ids=lambda n: n.kind)
     @pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
     def test_plain_callable_across_row_blocks(self, noise, circulant):
-        # at n = 20000 the per-row path builds its probes 6 rows at a time, so
-        # m = 20 crosses three block boundaries and ends on a partial block
+        # a long block, 20000 of the 20500 coordinates: each row's probe is
+        # built from x's values on the block, not from the probe before it
         gen = np.random.default_rng(7)
         d, n, m = 20_500, 20_000, 20
         idx = gen.permutation(d)[:n]
@@ -152,7 +155,7 @@ class TestEvalBlock:
         assert np.array_equal(got, _sequential(f, noise, x, idx, Z, 0.05, skip=1))
 
     def test_plain_callable_with_integer_rows(self):
-        # an operator whose row_block gives integer signs still probes in float
+        # an operator whose row gives integer signs still probes in float
         x, idx, Z = _block_case(2, False)
 
         class IntegerRows:
@@ -160,9 +163,6 @@ class TestEvalBlock:
 
             def row(self, i):
                 return Z.row(i).astype(np.int8)
-
-            def row_block(self, start, stop):
-                return Z.row_block(start, stop).astype(np.int8)
 
         f = lambda v: float(np.sin(v).sum())
         got = make_noisy_oracle(f, NoiseModel.none(), RngStreams(3)).eval_block(x, idx, IntegerRows(), 0.05)

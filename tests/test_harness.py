@@ -1,6 +1,7 @@
 """Tests for the experiment harness and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,9 +68,7 @@ BAD_INPUTS = {
     "params-baseline-delta-huge-integer": dict(method="spsa", params=dict(alpha=0.1, delta=10**400, budget=10)),
     "params-m-override-huge-integer": dict(params=dict(_PARAMS, m_override=10**400)),
     "objective-d-huge-integer": dict(objective={"name": "sparse-quadric", "d": 10**400, "s": 10}),
-    "objective-coeff-huge-integer": dict(objective={"name": "sparse-quadric", "d": 200, "s": 10, "coeff": 10**400}),
     "noise-level-huge-integer": dict(noise={"kind": "gaussian", "level": 10**400}),
-    "x0-scale-huge-integer": dict(x0_scale=10**400),
     # below the largest intp, yet too large for numpy to address as an array
     "params-m-override-unaddressable": dict(params=dict(_PARAMS, m_override=2**62)),
     "objective-d-unaddressable": dict(objective={"name": "sparse-quadric", "d": 2**62, "s": 10}),
@@ -89,9 +88,9 @@ BAD_INPUTS = {
     "noise-level-nan": dict(noise={"kind": "gaussian", "level": float("nan")}),
     "noise-level-inf": dict(noise={"kind": "gaussian", "level": float("inf")}),
     "noise-unknown-key": dict(noise={"kind": "gaussian", "lvl": 1e-6}),
-    "x0-scale-nan": dict(x0_scale=float("nan")),
-    "x0-scale-inf": dict(x0_scale=float("inf")),
-    "objective-coeff-nan": dict(objective={"name": "sparse-quadric", "d": 200, "s": 10, "coeff": float("nan")}),
+    # x0 is randn(d) and the quadric's coefficients are 1: neither is a spec key any more
+    "x0-scale-removed": dict(x0_scale=1.0),
+    "objective-coeff-removed": dict(objective={"name": "sparse-quadric", "d": 200, "s": 10, "coeff": 1.0}),
     "record-timing-string": dict(record_timing="false"),
     # traces are CSV only; the JSON encoding and its spec key are gone
     "spec-format-removed": dict(format="csv"),
@@ -99,15 +98,21 @@ BAD_INPUTS = {
     "trace-not-utf8": None,
     "trace-is-a-directory": None,
     "spec-not-utf8": None,
+    # a sound spec whose output directory o holds a directory where a file goes
+    "out-trace-is-a-directory": dict(method="fdsa", params=dict(alpha=0.1, delta=1e-3, budget=10)),
+    "out-summary-is-a-directory": dict(method="fdsa", params=dict(alpha=0.1, delta=1e-3, budget=10)),
 }
 TRACE_HEADER = b"iteration,cumulative_queries,f_value,compute_nanos\n"
-# The file each None case above writes, as (name, bytes); bytes None makes a
-# directory of that name. A trace_* file goes to `zobcd summarize`, a spec to `zobcd run`.
+# The file each None case above writes, as (name, bytes), and the file in the
+# output directory o that each out-* case blocks; bytes None makes a directory
+# of that name. A trace_* file goes to `zobcd summarize`, a spec to `zobcd run`.
 BAD_FILES = {
     "malformed-trace-row": ("trace_000.csv", TRACE_HEADER + b"0,0,1.5,0\n1,10,oops,7\n"),
     "trace-not-utf8": ("trace_000.csv", TRACE_HEADER + b"0,0,1.5,0\n\xff\n"),
     "trace-is-a-directory": ("trace_000.csv", None),
     "spec-not-utf8": ("spec.json", b"\xff{}"),
+    "out-trace-is-a-directory": ("o/trace_000.csv", None),
+    "out-summary-is-a-directory": ("o/summary.json", None),
 }
 
 
@@ -142,6 +147,14 @@ class TestExperimentSpec:
     def test_unknown_objective_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(objective={"name": "nope", "d": 10, "s": 2}, method="fdsa", params={})
+
+    def test_readme_example_spec_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("Example spec:", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "example.json"
+        path.write_text(block)
+        spec = ExperimentSpec.from_file(path)
+        assert spec.method == "zobcd-r" and spec.repeats == 5
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -374,23 +387,21 @@ class TestCli:
 
     @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
     def test_bad_input_exits_1_with_one_line(self, tmp_path, capsys, case):
-        if BAD_INPUTS[case] is None:
-            name, content = BAD_FILES[case]
+        name, content = BAD_FILES.get(case, ("", b""))
+        if name:
             path = tmp_path / name
+            path.parent.mkdir(exist_ok=True)
             path.mkdir() if content is None else path.write_bytes(content)
-            if name.startswith("trace_"):
-                code = main(["summarize", "--in", str(tmp_path)])
-            else:
-                code = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        if name.startswith("trace_"):
+            code = main(["summarize", "--in", str(tmp_path)])
         else:
-            doc = dict(SPEC_DOC, **BAD_INPUTS[case])
-            code = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(tmp_path / "o")])
+            config = path if BAD_INPUTS[case] is None else write_spec(tmp_path, dict(SPEC_DOC, **BAD_INPUTS[case]))
+            code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
-        assert not (tmp_path / "o").exists()
-        if BAD_INPUTS[case] is None:
-            assert name in err
+        assert (tmp_path / "o").exists() == name.startswith("o/")
+        assert name in err
         if case == "malformed-trace-row":
             assert "trace_000.csv line 3" in err
 

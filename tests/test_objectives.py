@@ -46,7 +46,7 @@ class TestSparseQuadric:
         assert q.eval(x) == 2.5
 
     def test_grad_matches_finite_differences(self):
-        q = SparseQuadric.random(15, 4, rng(2), coeff=2.0)
+        q = SparseQuadric(15, rng(2).choice(15, size=4, replace=False), np.full(4, 2.0))
         x = rng(3).standard_normal(15)
         np.testing.assert_allclose(q.grad(x).to_dense(), central_diff(q.eval, x), atol=1e-6)
 

@@ -103,8 +103,6 @@ class TestColumnMajorRademacher:
         idx = rng(12).choice(Z.n, size=13, replace=False)
         assert Zi.columns(idx).tobytes(order="F") == Z.columns(idx).tobytes(order="F")
         assert Zi.columns(idx).flags.f_contiguous
-        assert np.array_equal(Zi.row_block(3, 17), Z.row_block(3, 17))
-        assert Zi.row_block(3, 17).dtype == np.float64
         y = Z.apply(np.eye(Z.n)[5])
         est = cosamp(Zi, y, 1)
         ref = cosamp(Z, y, 1)
@@ -135,7 +133,6 @@ class TestColumnMajorRademacher:
         assert Z.directions(np.empty(0, dtype=np.intp)).shape == (Z.m, 0)
         for i in range(Z.m):
             assert Z.row(i).dtype == np.float64 and np.array_equal(Z.row(i), rows[i])
-        assert Z.row_block(2, 9).dtype == np.float64 and Z.row_block(2, 9).flags.c_contiguous
 
     @pytest.mark.parametrize("truncate", [False, True])
     def test_products_match_row_major(self, truncate):
@@ -328,19 +325,6 @@ class TestPartialCirculant:
         assert Z2.z is Z.z and Z2._zf is Z._zf  # a reshuffle copies nothing
         assert Z2.m == Z.m
         assert not np.array_equal(Z2.omega, Z.omega)
-
-
-@pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
-def test_row_block_equals_stacked_rows(circulant):
-    Z = make_partial_circulant(23, 57, rng(8)) if circulant else make_rademacher(23, 57, rng(8))
-    if not circulant:  # also a truncated view of a master, as ZO-BCD-R builds it
-        Z = RademacherEnsemble(cols=Z.cols[:50, :21])
-    for start, stop in [(0, Z.m), (0, 1), (4, 11), (Z.m - 1, Z.m), (3, 3)]:
-        block = Z.row_block(start, stop)
-        assert block.shape == (stop - start, Z.n)
-        assert np.array_equal(block, np.array([Z.row(i) for i in range(start, stop)]).reshape(-1, Z.n))
-        block[...] = 7.0  # a new array: writing it changes no direction
-    assert not np.any(np.array([Z.row(i) for i in range(Z.m)]) == 7.0)
 
 
 class TestAdjointAndLinearity:
