@@ -14,6 +14,7 @@ import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure, Oracle, RngStreams
 from zobcd.optimizer import RunResult, check_run_limits, drive
+from zobcd.sampling import _sign_bits
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
     def iterate(x, k, remaining):
         if remaining < 2:
             return None
-        z = rng.integers(0, 2, size=d, dtype=np.int8)  # the +-1 direction, as int8
+        z = _sign_bits(1, d, rng)[0]  # the +-1 direction, as int8
         z *= 2
         z -= 1
         dz = delta * z

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import partial
 from time import perf_counter_ns
 from typing import NamedTuple
@@ -176,7 +178,7 @@ def make_noisy_oracle(f, noise: NoiseModel, streams: RngStreams) -> Oracle:
 
 
 class TraceRecord(NamedTuple):
-    """One trace row; a tuple, so a long run's records are cheap to build and hold."""
+    """One trace row, as ``ConvergenceTrace.records`` hands it out."""
 
     iteration: int
     cumulative_queries: int
@@ -184,23 +186,70 @@ class TraceRecord(NamedTuple):
     compute_nanos: int
 
 
-@dataclass
-class ConvergenceTrace:
-    """Per-iteration run record; compute_nanos excludes oracle eval time."""
+class TraceRecords(Sequence):
+    """Read-only view of a trace's rows that builds each ``TraceRecord`` on
+    access, so holding it costs nothing beyond the trace's columns."""
 
-    records: list[TraceRecord] = field(default_factory=list)
+    __slots__ = ("_trace",)
 
-    def append(self, iteration: int, cumulative_queries: int, f_value: float, compute_nanos: int):
-        records = self.records
-        if records and cumulative_queries <= records[-1].cumulative_queries:
-            raise ValueError("cumulative_queries must be strictly increasing")
-        records.append(TraceRecord(iteration, cumulative_queries, float(f_value), compute_nanos))
-
-    def f_values(self) -> np.ndarray:
-        return np.array([r.f_value for r in self.records])
-
-    def queries(self) -> np.ndarray:
-        return np.array([r.cumulative_queries for r in self.records])
+    def __init__(self, trace: "ConvergenceTrace"):
+        self._trace = trace
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._trace.cumulative_queries)
+
+    def __getitem__(self, i):
+        cols = self._trace.columns()
+        if isinstance(i, slice):
+            return list(map(TraceRecord, *(col[i] for col in cols)))
+        return TraceRecord(*(col[i] for col in cols))
+
+    def __iter__(self):
+        return map(TraceRecord, *self._trace.columns())
+
+
+class ConvergenceTrace:
+    """Per-iteration run record; compute_nanos excludes oracle eval time.
+
+    The rows are held as four typed columns, 32 bytes a row: int64
+    ``iteration``, ``cumulative_queries`` and ``compute_nanos``, float64
+    ``f_value``. ``records`` views them as ``TraceRecord``s.
+    """
+
+    __slots__ = TraceRecord._fields
+
+    def __init__(self):
+        self.iteration, self.cumulative_queries, self.compute_nanos = array("q"), array("q"), array("q")
+        self.f_value = array("d")
+
+    def columns(self) -> tuple[array, array, array, array]:
+        """The four columns, in ``TraceRecord`` field order."""
+        return self.iteration, self.cumulative_queries, self.f_value, self.compute_nanos
+
+    @property
+    def records(self) -> TraceRecords:
+        return TraceRecords(self)
+
+    def append(self, iteration: int, cumulative_queries: int, f_value: float, compute_nanos: int):
+        queries = self.cumulative_queries
+        if queries and cumulative_queries <= queries[-1]:
+            raise ValueError("cumulative_queries must be strictly increasing")
+        try:
+            self.iteration.append(iteration)
+            queries.append(cumulative_queries)
+            self.f_value.append(f_value)
+            self.compute_nanos.append(compute_nanos)
+        except BaseException:  # a value a column cannot hold: leave no partial row
+            n = len(self.compute_nanos)
+            for col in self.columns():
+                del col[n:]
+            raise
+
+    def f_values(self) -> np.ndarray:
+        return np.array(self.f_value)
+
+    def queries(self) -> np.ndarray:
+        return np.array(self.cumulative_queries)
+
+    def __len__(self) -> int:
+        return len(self.cumulative_queries)

@@ -13,6 +13,7 @@ import json
 import math
 import numbers
 from dataclasses import MISSING, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -112,16 +113,30 @@ def run_single(spec: ExperimentSpec, run_seed: int) -> RunResult:
     return run_zobcd(oracle, x0, cfg, report_f=obj.eval)
 
 
-def _write(path: Path, text: str):
+def _write(path: Path, parts):
+    """Write the strings ``parts`` yields to path, one after another."""
     try:
-        path.write_text(text)
+        with open(path, "w") as fh:
+            fh.writelines(parts)
     except OSError as exc:
         raise ConfigurationError(f"cannot write {path}: {exc}") from exc
 
 
+_WRITE_CHUNK = 8192  # trace rows formatted per string handed to the file
+
+
+def _trace_text(trace: ConvergenceTrace, record_timing: bool):
+    """The trace file's header, then its rows in chunks of _WRITE_CHUNK."""
+    yield ",".join(TRACE_COLUMNS) + "\n"
+    its, qs, fs, nanos = trace.columns()
+    for a in range(0, len(qs), _WRITE_CHUNK):
+        b = a + _WRITE_CHUNK
+        ns = nanos[a:b] if record_timing else repeat(0)
+        yield "".join([f"{it},{q},{f!r},{n}\n" for it, q, f, n in zip(its[a:b], qs[a:b], fs[a:b], ns)])
+
+
 def _write_trace(trace: ConvergenceTrace, path: Path, record_timing: bool):
-    lines = [f"{it},{q},{f!r},{ns if record_timing else 0}\n" for it, q, f, ns in trace.records]
-    _write(path, ",".join(TRACE_COLUMNS) + "\n" + "".join(lines))
+    _write(path, _trace_text(trace, record_timing))
 
 
 def read_trace(path: str | Path) -> ConvergenceTrace:
@@ -140,7 +155,7 @@ def read_trace(path: str | Path) -> ConvergenceTrace:
         try:
             it, q, f, ns = line.split(",")
             trace.append(int(it), int(q), float(f), int(ns))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
             raise ConfigurationError(f"{path} line {n}: malformed trace row ({exc})") from exc
     return trace
 
@@ -156,11 +171,10 @@ def _remove_stale_traces(out: Path, repeats: int):
 
 def _first_hit(trace: ConvergenceTrace, target: float | None):
     """(iteration, queries) of the first record at or below target."""
-    if target is None:
-        return "unreached", "unreached"
-    for r in trace.records:
-        if r.f_value <= target:
-            return r.iteration, r.cumulative_queries
+    if target is not None:
+        for it, q, f in zip(trace.iteration, trace.cumulative_queries, trace.f_value):
+            if f <= target:
+                return it, q
     return "unreached", "unreached"
 
 
@@ -184,21 +198,20 @@ def summarize(traces: list[ConvergenceTrace], target: float | None, terminations
         raise ConfigurationError("summarize needs at least one trace")
     runs = []
     for i, trace in enumerate(traces):
-        if not trace.records:
+        if not len(trace):
             raise ConfigurationError(f"trace {i} holds no records")
         it_hit, q_hit = _first_hit(trace, target)
-        iter_records = [r for r in trace.records if r.iteration > 0]
+        iterations = np.array(trace.iteration)  # copies: a view would stop the column from growing
+        iter_nanos = np.array(trace.compute_nanos)[iterations > 0]
         runs.append(
             {
                 "run": i,
                 "termination": terminations[i] if terminations else None,
-                "iterations": max(r.iteration for r in trace.records),
-                "total_queries": trace.records[-1].cumulative_queries,
+                "iterations": int(iterations.max()),
+                "total_queries": trace.cumulative_queries[-1],
                 "iterations_to_target": it_hit,
                 "queries_to_target": q_hit,
-                "mean_iter_compute_ns": (
-                    float(np.mean([r.compute_nanos for r in iter_records])) if iter_records else 0.0
-                ),
+                "mean_iter_compute_ns": float(iter_nanos.mean()) if iter_nanos.size else 0.0,
             }
         )
     return {
@@ -227,6 +240,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         traces.append(result.trace)
         terminations.append(result.termination)
     summary = summarize(traces, spec.params.get("target"), terminations)
+    if not spec.record_timing:  # summarize the timing the trace files hold
+        for run in summary["runs"]:
+            run["mean_iter_compute_ns"] = 0.0
     summary["spec"] = {
         "objective": spec.objective,
         "method": spec.method,
@@ -235,5 +251,5 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         "repeats": spec.repeats,
         "seed": spec.seed,
     }
-    _write(out / "summary.json", json.dumps(summary, indent=1))
+    _write(out / "summary.json", [json.dumps(summary, indent=1)])
     return summary

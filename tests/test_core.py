@@ -1,6 +1,8 @@
 import inspect
 import math
 import time
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -278,6 +280,56 @@ def test_trace_record_fields_and_immutability():
     for field in TraceRecord._fields:
         with pytest.raises(AttributeError):
             setattr(rec, field, 0)
+
+
+def test_trace_appends_take_under_64_bytes_a_record():
+    # four typed columns, 32 B a row, against about 208 B for a list of NamedTuples
+    n = 100_000
+    tracemalloc.start()
+    try:
+        trace = ConvergenceTrace()
+        for k in range(n):
+            trace.append(k, 2 * k + 1, 0.5 / (k + 1), 1000 + k)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert held / n < 64
+
+
+def test_trace_records_is_a_lazy_read_only_sequence():
+    trace = ConvergenceTrace()
+    for k in range(4):
+        trace.append(k, 5 * k, 1.0 / (k + 1), 10 * k)
+    records = trace.records
+    assert isinstance(records, Sequence) and len(records) == 4
+    assert records[-1] == TraceRecord(3, 15, 0.25, 30) and records[-1].iteration == 3
+    assert records[1:3] == [TraceRecord(1, 5, 0.5, 10), TraceRecord(2, 10, 1.0 / 3, 20)]
+    assert records[::-2] == [records[3], records[1]]
+    assert list(records) == [records[k] for k in range(4)]
+    assert [r[:3] for r in records][0] == (0, 0, 1.0)
+    assert [type(v) for v in records[0]] == [int, int, float, int]
+    with pytest.raises(IndexError):
+        records[4]
+    with pytest.raises(TypeError):
+        records[0] = records[1]
+    trace.append(4, 20, 0.2, 40)  # the view follows the trace
+    assert len(records) == 5 and records[-1].cumulative_queries == 20
+    short = ConvergenceTrace()
+    short.append(0, 0, 2.0, 0)
+    (rec,) = short.records
+    assert rec == (0, 0, 2.0, 0)
+
+
+def test_trace_append_leaves_no_partial_row():
+    trace = ConvergenceTrace()
+    trace.append(0, 0, 1.0, 0)
+    for bad in [(1, 5, 0.5, 2**63), (1, 5, "x", 0), (1, 2**63, 0.5, 0)]:
+        with pytest.raises((OverflowError, TypeError)):
+            trace.append(*bad)
+        assert [len(col) for col in trace.columns()] == [1, 1, 1, 1]
+    trace.append(1, 5, 0.5, 7)
+    assert list(trace.records) == [(0, 0, 1.0, 0), (1, 5, 0.5, 7)]
 
 
 def test_trace_arrays():

@@ -9,6 +9,7 @@ import pytest
 from zobcd.core import ConfigurationError, ConvergenceTrace
 from zobcd.cli import main
 from zobcd.harness import (
+    _WRITE_CHUNK,
     ExperimentSpec,
     _write_trace,
     read_trace,
@@ -97,6 +98,7 @@ BAD_INPUTS = {
     "malformed-trace-row": None,
     "trace-not-utf8": None,
     "trace-is-a-directory": None,
+    "trace-row-beyond-int64": None,
     "spec-not-utf8": None,
     # a sound spec whose output directory o holds a directory where a file goes
     "out-trace-is-a-directory": dict(method="fdsa", params=dict(alpha=0.1, delta=1e-3, budget=10)),
@@ -110,6 +112,7 @@ BAD_FILES = {
     "malformed-trace-row": ("trace_000.csv", TRACE_HEADER + b"0,0,1.5,0\n1,10,oops,7\n"),
     "trace-not-utf8": ("trace_000.csv", TRACE_HEADER + b"0,0,1.5,0\n\xff\n"),
     "trace-is-a-directory": ("trace_000.csv", None),
+    "trace-row-beyond-int64": ("trace_000.csv", TRACE_HEADER + b"0,0,1.5,0\n1,9223372036854775808,0.5,7\n"),
     "spec-not-utf8": ("spec.json", b"\xff{}"),
     "out-trace-is-a-directory": ("o/trace_000.csv", None),
     "out-summary-is-a-directory": ("o/summary.json", None),
@@ -186,6 +189,10 @@ class TestRunSingle:
         assert np.array_equal(a, b)
 
 
+SHORT_FVALS = [2.5, 1e-300, 0.1 + 0.2, 123456789.125, float("nan")]
+LONG_FVALS = [1.0 / (k + 1) - 0.5 for k in range(2 * _WRITE_CHUNK + 3)]  # three chunks, the last one short
+
+
 class TestTraceFiles:
     def test_experiment_writes_traces_and_summary(self, tmp_path):
         spec = ExperimentSpec(**SPEC_DOC)
@@ -215,10 +222,19 @@ class TestTraceFiles:
         trace = read_trace(out / "trace_000.csv")
         assert all(r.compute_nanos == 0 for r in trace.records)
 
-    @pytest.mark.parametrize("record_timing", [True, False])
-    def test_trace_bytes_equal_the_row_by_row_format(self, tmp_path, record_timing):
+    @pytest.mark.parametrize(
+        "record_timing, fvals",
+        [
+            (True, SHORT_FVALS),
+            (False, SHORT_FVALS),
+            (True, LONG_FVALS),
+            (False, LONG_FVALS),
+        ],
+        ids=["True", "False", "True-longer-than-a-chunk", "False-longer-than-a-chunk"],
+    )
+    def test_trace_bytes_equal_the_row_by_row_format(self, tmp_path, record_timing, fvals):
         trace = ConvergenceTrace()
-        for k, f in enumerate([2.5, 1e-300, 0.1 + 0.2, 123456789.125, float("nan")]):
+        for k, f in enumerate(fvals):
             trace.append(k, 3 * k + 1, f, 1000 + k)
         path = tmp_path / "t.csv"
         _write_trace(trace, path, record_timing)
@@ -246,6 +262,23 @@ class TestTraceFiles:
         assert (tmp_path / "a" / "trace_000.csv").read_bytes() == (
             tmp_path / "b" / "trace_000.csv"
         ).read_bytes()
+
+    def test_summary_is_byte_identical_without_timing(self, tmp_path):
+        # with record_timing false the trace files hold no timing, and
+        # summary.json must describe those files, not the run's clock
+        doc = dict(
+            SPEC_DOC,
+            objective={"name": "sparse-quadric", "d": 400, "s": 10},
+            method="zoscd",
+            params={"alpha": 0.9, "delta": 1e-3, "budget": 10**6, "max_iters": 500},
+            repeats=1,
+        )
+        for out in ("a", "b"):
+            run_experiment(ExperimentSpec(**doc), tmp_path / out)
+        summary = (tmp_path / "a" / "summary.json").read_bytes()
+        assert summary == (tmp_path / "b" / "summary.json").read_bytes()
+        assert json.loads(summary)["runs"][0]["mean_iter_compute_ns"] == 0.0
+        assert summarize([read_trace(tmp_path / "a" / "trace_000.csv")], None)["runs"][0]["mean_iter_compute_ns"] == 0.0
 
     def test_read_trace_rejects_non_trace(self, tmp_path):
         path = tmp_path / "trace_000.csv"
@@ -402,8 +435,8 @@ class TestCli:
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
         assert (tmp_path / "o").exists() == name.startswith("o/")
         assert name in err
-        if case == "malformed-trace-row":
-            assert "trace_000.csv line 3" in err
+        if case in ("malformed-trace-row", "trace-row-beyond-int64"):
+            assert "trace_000.csv line 3: malformed trace row" in err
 
     def test_huge_b1_clamps_the_rows_without_a_traceback(self, tmp_path, capsys):
         # b1 * s_block * ln n overflows to inf: every 100-column block gets
