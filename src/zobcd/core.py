@@ -178,7 +178,7 @@ def make_noisy_oracle(f, noise: NoiseModel, streams: RngStreams) -> Oracle:
 
 
 class TraceRecord(NamedTuple):
-    """One trace row, as ``ConvergenceTrace.records`` hands it out."""
+    """One trace row; its fields name the trace file's columns, in order."""
 
     iteration: int
     cumulative_queries: int
@@ -186,34 +186,13 @@ class TraceRecord(NamedTuple):
     compute_nanos: int
 
 
-class TraceRecords(Sequence):
-    """Read-only view of a trace's rows that builds each ``TraceRecord`` on
-    access, so holding it costs nothing beyond the trace's columns."""
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: "ConvergenceTrace"):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace.cumulative_queries)
-
-    def __getitem__(self, i):
-        cols = self._trace.columns()
-        if isinstance(i, slice):
-            return list(map(TraceRecord, *(col[i] for col in cols)))
-        return TraceRecord(*(col[i] for col in cols))
-
-    def __iter__(self):
-        return map(TraceRecord, *self._trace.columns())
-
-
-class ConvergenceTrace:
+class ConvergenceTrace(Sequence):
     """Per-iteration run record; compute_nanos excludes oracle eval time.
 
     The rows are held as four typed columns, 32 bytes a row: int64
     ``iteration``, ``cumulative_queries`` and ``compute_nanos``, float64
-    ``f_value``. ``records`` views them as ``TraceRecord``s.
+    ``f_value``. The trace is a read-only sequence of ``TraceRecord``s, each
+    built when it is read; ``records`` is the trace itself.
     """
 
     __slots__ = TraceRecord._fields
@@ -222,13 +201,9 @@ class ConvergenceTrace:
         self.iteration, self.cumulative_queries, self.compute_nanos = array("q"), array("q"), array("q")
         self.f_value = array("d")
 
-    def columns(self) -> tuple[array, array, array, array]:
-        """The four columns, in ``TraceRecord`` field order."""
-        return self.iteration, self.cumulative_queries, self.f_value, self.compute_nanos
-
     @property
-    def records(self) -> TraceRecords:
-        return TraceRecords(self)
+    def records(self) -> ConvergenceTrace:
+        return self
 
     def append(self, iteration: int, cumulative_queries: int, f_value: float, compute_nanos: int):
         queries = self.cumulative_queries
@@ -241,8 +216,8 @@ class ConvergenceTrace:
             self.compute_nanos.append(compute_nanos)
         except BaseException:  # a value a column cannot hold: leave no partial row
             n = len(self.compute_nanos)
-            for col in self.columns():
-                del col[n:]
+            for name in TraceRecord._fields:
+                del getattr(self, name)[n:]
             raise
 
     def f_values(self) -> np.ndarray:
@@ -253,3 +228,12 @@ class ConvergenceTrace:
 
     def __len__(self) -> int:
         return len(self.cumulative_queries)
+
+    def __getitem__(self, i):
+        cols = self.iteration, self.cumulative_queries, self.f_value, self.compute_nanos
+        if isinstance(i, slice):
+            return list(map(TraceRecord, *(col[i] for col in cols)))
+        return TraceRecord(*(col[i] for col in cols))
+
+    def __iter__(self):
+        return map(TraceRecord, self.iteration, self.cumulative_queries, self.f_value, self.compute_nanos)

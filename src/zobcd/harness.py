@@ -12,19 +12,20 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from array import array
 from dataclasses import MISSING, dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
-from zobcd.core import MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, make_noisy_oracle
+from zobcd.core import (
+    MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, TraceRecord, make_noisy_oracle
+)
 from zobcd.baselines import BASELINES, BaselineConfig, run_baseline
 from zobcd.objectives import OBJECTIVES, make_objective
 from zobcd.optimizer import RunResult, ZobcdConfig, run_zobcd
 
 METHOD_NAMES = ("zobcd-r", "zobcd-rc", *BASELINES)
-TRACE_COLUMNS = ("iteration", "cumulative_queries", "f_value", "compute_nanos")
 
 
 def _check_number(name: str, value, integral: bool = False):
@@ -125,18 +126,13 @@ def _write(path: Path, parts):
 _WRITE_CHUNK = 8192  # trace rows formatted per string handed to the file
 
 
-def _trace_text(trace: ConvergenceTrace, record_timing: bool):
+def _trace_text(trace: ConvergenceTrace):
     """The trace file's header, then its rows in chunks of _WRITE_CHUNK."""
-    yield ",".join(TRACE_COLUMNS) + "\n"
-    its, qs, fs, nanos = trace.columns()
+    yield ",".join(TraceRecord._fields) + "\n"
+    its, qs, fs, nanos = trace.iteration, trace.cumulative_queries, trace.f_value, trace.compute_nanos
     for a in range(0, len(qs), _WRITE_CHUNK):
         b = a + _WRITE_CHUNK
-        ns = nanos[a:b] if record_timing else repeat(0)
-        yield "".join([f"{it},{q},{f!r},{n}\n" for it, q, f, n in zip(its[a:b], qs[a:b], fs[a:b], ns)])
-
-
-def _write_trace(trace: ConvergenceTrace, path: Path, record_timing: bool):
-    _write(path, _trace_text(trace, record_timing))
+        yield "".join([f"{it},{q},{f!r},{n}\n" for it, q, f, n in zip(its[a:b], qs[a:b], fs[a:b], nanos[a:b])])
 
 
 def read_trace(path: str | Path) -> ConvergenceTrace:
@@ -146,7 +142,7 @@ def read_trace(path: str | Path) -> ConvergenceTrace:
         lines = path.read_text().splitlines()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8
         raise ConfigurationError(f"cannot read trace file {path}: {exc}") from exc
-    if not lines or lines[0] != ",".join(TRACE_COLUMNS):
+    if not lines or lines[0] != ",".join(TraceRecord._fields):
         raise ConfigurationError(f"{path} is not a trace file")
     if len(lines) == 1:
         raise ConfigurationError(f"{path} holds no trace records")
@@ -236,13 +232,12 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
                 _remove_stale_traces(out, spec.repeats)
             except OSError as exc:
                 raise ConfigurationError(f"cannot prepare output directory {out}: {exc}") from exc
-        _write_trace(result.trace, out / f"trace_{r:03d}.csv", spec.record_timing)
+        if not spec.record_timing:  # zeroed once, so the trace files and summary.json agree
+            result.trace.compute_nanos = array("q", [0]) * len(result.trace)
+        _write(out / f"trace_{r:03d}.csv", _trace_text(result.trace))
         traces.append(result.trace)
         terminations.append(result.termination)
     summary = summarize(traces, spec.params.get("target"), terminations)
-    if not spec.record_timing:  # summarize the timing the trace files hold
-        for run in summary["runs"]:
-            run["mean_iter_compute_ns"] = 0.0
     summary["spec"] = {
         "objective": spec.objective,
         "method": spec.method,

@@ -27,10 +27,12 @@ class SparseQuadric:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        support = np.sort(np.asarray(self.support, dtype=np.intp))
+        support = np.asarray(self.support, dtype=np.intp)
         coeffs = np.asarray(self.coeffs, dtype=np.float64)
         if support.size != coeffs.size:
             raise ConfigurationError("support and coeffs must have equal length")
+        order = np.argsort(support)  # sorted support, each coefficient kept with its coordinate
+        support, coeffs = support[order], coeffs[order]
         if support.size and (np.unique(support).size != support.size or support[-1] >= self.d):
             raise ConfigurationError("support indices must be distinct and within [0, d)")
         if not np.all((coeffs > 0) & (coeffs < np.inf)):
@@ -46,10 +48,6 @@ class SparseQuadric:
     @property
     def s(self) -> int:
         return self.support.size
-
-    @property
-    def l_max(self) -> float:
-        return float(self.coeffs.max())
 
     def eval(self, x: np.ndarray) -> float:
         v = x[self.support]  # a copy, so squaring it in place is safe

@@ -99,8 +99,10 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
     ``TERM_BUDGET``.
 
     ``report_f``, when given, is a noiseless evaluation channel for the trace
-    and the target check, not counted as a query. Without it the trace reports
-    each iteration's noisy base query, which lags the iterate by one step.
+    and the target check, not counted as a query; a run whose x0 already meets
+    the target ends there, with one trace row and no query. Without it the
+    trace reports each iteration's noisy base query, which lags the iterate by
+    one step.
     """
     x = x0.copy()
     trace = ConvergenceTrace()
@@ -109,7 +111,10 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
     max_iters = math.inf if limits.max_iters is None else limits.max_iters
     q0 = oracle.query_count
     if report_f is not None:
-        append(0, 0, report_f(x), 0)
+        f0 = report_f(x)
+        append(0, 0, f0, 0)
+        if target is not None and f0 <= target:
+            return RunResult(x_final=x, trace=trace, termination=TERM_TARGET)
     termination = TERM_BUDGET
     k = 0
     while k < max_iters:

@@ -218,7 +218,7 @@ def test_07_block_gradient_optimality_gap_inequality():
             g = q.grad(x).to_dense()
             for j in range(J):
                 gj = g[p.block_indices(j)]
-                violation = float(gj @ gj) / (2 * q.l_max) - f_gap
+                violation = float(gj @ gj) / (2 * q.coeffs.max()) - f_gap
                 worst = max(worst, violation)
         assert worst <= 1e-12, f"inequality violated by {worst:.3e}"
 

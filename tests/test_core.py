@@ -302,6 +302,7 @@ def test_trace_records_is_a_lazy_read_only_sequence():
     for k in range(4):
         trace.append(k, 5 * k, 1.0 / (k + 1), 10 * k)
     records = trace.records
+    assert records is trace and not hasattr(trace, "__dict__")
     assert isinstance(records, Sequence) and len(records) == 4
     assert records[-1] == TraceRecord(3, 15, 0.25, 30) and records[-1].iteration == 3
     assert records[1:3] == [TraceRecord(1, 5, 0.5, 10), TraceRecord(2, 10, 1.0 / 3, 20)]
@@ -327,7 +328,7 @@ def test_trace_append_leaves_no_partial_row():
     for bad in [(1, 5, 0.5, 2**63), (1, 5, "x", 0), (1, 2**63, 0.5, 0)]:
         with pytest.raises((OverflowError, TypeError)):
             trace.append(*bad)
-        assert [len(col) for col in trace.columns()] == [1, 1, 1, 1]
+        assert [len(getattr(trace, name)) for name in TraceRecord._fields] == [1, 1, 1, 1]
     trace.append(1, 5, 0.5, 7)
     assert list(trace.records) == [(0, 0, 1.0, 0), (1, 5, 0.5, 7)]
 

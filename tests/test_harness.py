@@ -11,7 +11,8 @@ from zobcd.cli import main
 from zobcd.harness import (
     _WRITE_CHUNK,
     ExperimentSpec,
-    _write_trace,
+    _trace_text,
+    _write,
     read_trace,
     run_experiment,
     run_single,
@@ -216,11 +217,19 @@ class TestTraceFiles:
         assert np.array_equal(trace.queries(), direct.queries())
 
     def test_record_timing_false_zeroes_nanos(self, tmp_path):
-        spec = ExperimentSpec(**SPEC_DOC)
+        # a zoscd run of three write chunks, the last one short
+        doc = dict(
+            SPEC_DOC,
+            method="zoscd",
+            params={"alpha": 0.9, "delta": 1e-3, "budget": 10**6, "max_iters": 2 * _WRITE_CHUNK + 2},
+        )
         out = tmp_path / "results"
-        run_experiment(spec, out)
-        trace = read_trace(out / "trace_000.csv")
-        assert all(r.compute_nanos == 0 for r in trace.records)
+        summary = run_experiment(ExperimentSpec(**doc), out)
+        for r, run in enumerate(summary["runs"]):
+            trace = read_trace(out / f"trace_{r:03d}.csv")
+            assert len(trace) == 2 * _WRITE_CHUNK + 3
+            assert not any(trace.compute_nanos)
+            assert run["mean_iter_compute_ns"] == 0.0
 
     @pytest.mark.parametrize(
         "record_timing, fvals",
@@ -233,14 +242,15 @@ class TestTraceFiles:
         ids=["True", "False", "True-longer-than-a-chunk", "False-longer-than-a-chunk"],
     )
     def test_trace_bytes_equal_the_row_by_row_format(self, tmp_path, record_timing, fvals):
+        # an untimed run reaches the writer with its nanos column already zeroed
         trace = ConvergenceTrace()
         for k, f in enumerate(fvals):
-            trace.append(k, 3 * k + 1, f, 1000 + k)
+            trace.append(k, 3 * k + 1, f, 1000 + k if record_timing else 0)
         path = tmp_path / "t.csv"
-        _write_trace(trace, path, record_timing)
+        _write(path, _trace_text(trace))
         lines = ["iteration,cumulative_queries,f_value,compute_nanos"]
         lines += [f"{r.iteration},{r.cumulative_queries},{repr(r.f_value)},{r.compute_nanos if record_timing else 0}"
-                  for r in trace.records]
+                  for r in trace]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_rerun_removes_only_the_stale_trace_files(self, tmp_path):
@@ -335,6 +345,16 @@ class TestCli:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["iterations_to_target"]["unreached_count"] == 0
+
+    def test_summarize_accepts_an_integer_target_beyond_float_range(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(write_spec(tmp_path)), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (out / "summary.json").write_text(json.dumps({"target": 10**400}))
+        assert main(["summarize", "--in", str(out)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["target"] == 10**400
+        assert [(r["iterations_to_target"], r["queries_to_target"]) for r in doc["runs"]] == [(0, 0)] * 2
 
     def test_iteration_cap_is_recorded_in_the_summary(self, tmp_path, capsys):
         # a large budget and no target: the run ends on its iteration cap

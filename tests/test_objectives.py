@@ -50,9 +50,12 @@ class TestSparseQuadric:
         x = rng(3).standard_normal(15)
         np.testing.assert_allclose(q.grad(x).to_dense(), central_diff(q.eval, x), atol=1e-6)
 
-    def test_l_max(self):
-        q = SparseQuadric(10, np.array([1, 5]), np.array([2.0, 7.0]))
-        assert q.l_max == 7.0
+    def test_unsorted_support_keeps_each_coefficient_on_its_coordinate(self):
+        q = SparseQuadric(10, np.array([7, 2]), np.array([1.0, 100.0]))
+        e2, e7 = np.eye(10)[2], np.eye(10)[7]
+        assert (q.eval(e2), q.eval(e7)) == (50.0, 0.5)
+        g = q.grad(e2 + e7).to_dense()
+        assert (g[2], g[7]) == (100.0, 1.0)
 
     def test_rejects_nonpositive_coeffs(self):
         with pytest.raises(ConfigurationError):

@@ -132,6 +132,20 @@ class TestRunZobcd:
         assert res.trace.f_values()[-1] <= 1e-10 * f0
         assert np.linalg.norm(res.x_final[q.support]) <= 1e-5
 
+    @pytest.mark.parametrize("max_iters", [None, 0])
+    @pytest.mark.parametrize("method", ["zobcd-r", "zoscd"])
+    def test_run_that_starts_at_its_target_stops_there(self, method, max_iters):
+        q, _, cfg, oracle = make_quadric_run(400, 4, 10, target=1e-2, max_iters=max_iters)
+        x0 = np.zeros(400)
+        if method == "zoscd":
+            cfg = BaselineConfig(method, alpha=0.9, delta=1e-3, budget=10**6, target=1e-2, max_iters=max_iters)
+            res = run_baseline(oracle, x0, cfg, report_f=q.eval)
+        else:
+            res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
+        assert res.termination == TERM_TARGET
+        assert list(res.trace) == [(0, 0, 0.0, 0)]
+        assert oracle.query_count == 0
+
     def test_one_iteration_touches_at_most_one_block(self):
         q, x0, cfg, oracle = make_quadric_run(120, 4, 8, max_iters=1)
         res = run_zobcd(oracle, x0, cfg)
