@@ -4,6 +4,10 @@ The inner least-squares fits are exact: a Cholesky solve of the normal
 equations of the gathered columns, or numpy's minimum-norm ``lstsq`` where
 those equations are singular. Only the m x |support| gather is materialized,
 so the partial circulant variant never forms its full matrix.
+
+A centred solve also fits an offset c that every measurement shares,
+y ~= Z v + c 1. It eliminates c exactly: it fits P y on P Z with
+P = I - 1 1^T / m, and never forms P Z (see ``restricted_lsq``).
 """
 
 from __future__ import annotations
@@ -16,9 +20,12 @@ import numpy as np
 from zobcd.core import ConfigurationError, NumericalFailure
 from zobcd.sampling import MeasurementOperator, top_k_magnitude
 
-# A Cholesky pivot of the Gram matrix below this fraction of the largest one
-# marks the gathered columns as numerically dependent. The normal equations
-# then have many solutions, and restricted_lsq takes lstsq's minimum-norm one.
+# A Cholesky pivot of the Gram matrix below this fraction of the largest
+# squared column norm marks the gathered columns as numerically dependent.
+# The normal equations then have many solutions, and restricted_lsq takes
+# lstsq's minimum-norm one. The norms are those of the uncentred columns:
+# centring zeroes a constant column, and a lone zero pivot has no larger
+# pivot to be judged against.
 _MIN_PIVOT_RATIO = 1e-7
 
 # CoSaMP stops once a fit lowers the residual norm by less than this fraction
@@ -63,12 +70,17 @@ class SparseVector:
         return self.indices.size
 
 
-def restricted_lsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+def restricted_lsq(A: np.ndarray, y: np.ndarray, centred: bool = False) -> np.ndarray:
     """Least-squares fit of y on the columns of the gathered matrix A.
 
     Solves the normal equations A^T A w = A^T y by Cholesky. With more
     columns than rows, or numerically dependent columns, returns the
     minimum-norm least-squares solution instead.
+
+    ``centred`` fits a centred y (mean zero) on the centred columns P A,
+    P = I - 1 1^T / m, without forming them: their Gram matrix is
+    A^T A - c c^T / m with c = A^T 1, and (P A)^T y = A^T y. Only the
+    ``lstsq`` fallback forms P A.
     """
     m, k = A.shape
     if k == 0:
@@ -76,17 +88,30 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     if k > m:
         warnings.warn(f"restricted least squares with |support|={k} > m={m} is underdetermined", stacklevel=2)
     else:
+        gram = A.T @ A
+        scale = gram.diagonal().max()
+        if centred:
+            c = A.T @ np.ones(m)  # the column sums, by a gemv: half the time of A.sum(axis=0)
+            gram -= np.outer(c, c / m)
         try:
-            L = np.linalg.cholesky(A.T @ A)
+            L = np.linalg.cholesky(gram)
             pivots = np.diagonal(L) ** 2
-            if pivots.min() >= _MIN_PIVOT_RATIO * pivots.max():
+            if pivots.min() >= _MIN_PIVOT_RATIO * scale:
                 return np.linalg.solve(L.T, np.linalg.solve(L, A.T @ y))
         except np.linalg.LinAlgError:  # not numerically positive definite
             pass
+    if centred:
+        # Taking off the first row before the mean centres a constant
+        # column to exactly zero, so lstsq gives it no weight instead of
+        # fitting its rounding error.
+        A = A - A[0]
+        A -= A.mean(axis=0)
     return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
-def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> SparseVector:
+def cosamp(
+    Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None, *, centred: bool = False
+) -> SparseVector:
     """CoSaMP recovery of an s-sparse solution to Z v ~= y, for 1 <= s <= n.
 
     Runs at most ``_MAX_FITS`` iterations and returns the latest iterate.
@@ -114,6 +139,11 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> Sp
     iterate in order, the one an exit fires on included: a stalled iterate
     is seen once, last, and is the estimate returned. Used by diagnostics
     and tests, never by the solver itself.
+
+    ``centred`` solves Z v + c 1 ~= y for v and a free offset c, and returns
+    v alone: the loop above runs on P y and P Z, P = I - 1 1^T / m. Its
+    residual r stays centred, so ``Z.top_adjoint(r)`` ranks Z^T P r =
+    (P Z)^T r, and the norms the exits compare are those of P y and r.
     """
     n = Z.n
     if y.shape != (Z.m,):
@@ -121,6 +151,8 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> Sp
     if not 1 <= s <= n:
         raise ConfigurationError(f"need 1 <= s <= n for the sparsity target, got s={s}, n={n}")
 
+    if centred:
+        y = y - y.mean()
     ynorm = float(np.linalg.norm(y))
     if not np.isfinite(ynorm):
         raise NumericalFailure("non-finite measurements")
@@ -136,10 +168,13 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> Sp
         if merged.size == 0:
             break
         A = Z.columns(merged)
-        w = restricted_lsq(A, y)
+        w = restricted_lsq(A, y, centred)
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
-        r = y - A[:, keep_local] @ estimate.values
+        fitted = A[:, keep_local] @ estimate.values
+        if centred:
+            fitted -= fitted.mean()
+        r = y - fitted
         if not np.all(np.isfinite(r)):
             raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")
         prev_rnorm, rnorm = rnorm, float(np.linalg.norm(r))

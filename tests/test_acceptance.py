@@ -14,7 +14,7 @@ import pytest
 
 from zobcd.core import NoiseModel, RngStreams, make_noisy_oracle
 from zobcd.blocks import block_sparsity_histogram, random_partition
-from zobcd.estimator import estimate_block_gradient
+from zobcd.estimator import estimate_block_gradient, theoretical_radius
 from zobcd.harness import ExperimentSpec, run_experiment
 from zobcd.objectives import MaxSSumSquared, SparseQuadric
 from zobcd.optimizer import ZobcdConfig, run_zobcd
@@ -91,7 +91,7 @@ def test_02_circulant_matches_dense_and_scales_subquadratically():
         assert slope < 1.4, f"apply-cost log-log slope {slope:.2f} >= 1.4"
 
 
-def _table1_run(J, seed, objective, alpha, target, max_iters, x0_nnz=None):
+def _table1_run(J, seed, objective, alpha, target, max_iters, x0_nnz=None, delta=1e-2):
     d, s = 20000, 200
     streams = RngStreams(seed)
     gen = streams.substream("objective")
@@ -105,7 +105,7 @@ def _table1_run(J, seed, objective, alpha, target, max_iters, x0_nnz=None):
         x0[idx] = gen.standard_normal(x0_nnz)
     oracle = make_noisy_oracle(obj.eval, NoiseModel.gaussian(1e-6), streams)
     cfg = ZobcdConfig(
-        variant="R", d=d, J=J, s=s, alpha=alpha, delta=1e-2, budget=10**9,
+        variant="R", d=d, J=J, s=s, alpha=alpha, delta=delta, budget=10**9,
         seed=seed, b1=4.0, target=target, reshuffle_period=J,
         max_iters=max_iters, block_sparsity_factor=1.05,
     )
@@ -247,23 +247,25 @@ def test_08_trace_files_byte_identical(tmp_path):
 
 
 def test_09_moving_support_objective_reaches_target():
-    with criterion("max-s-sum-squared reaches f<=1 (J=2/4, 5 seeds)"):
-        caps = {2: 747, 4: 1815}
-        # Runs are cut off far below the acceptance cap to bound suite time;
-        # a cut-off run counts as unreached, which can only make the median
-        # check stricter.
+    with criterion("max-s-sum-squared reaches f<=1 (J=2/4, every one of 5 seeds)"):
+        # The acceptance caps on the median are 747 (J=2) and 1815 (J=4)
+        # iterations. Every run must reach the target well within them: runs
+        # are cut off far below the caps to bound suite time.
         run_caps = {2: 150, 4: 300}
-        for J, cap in caps.items():
-            iters = []
+        for J, cap in run_caps.items():
             for seed in range(5):
-                res = _table1_run(
-                    J, seed, "max-s-sum", alpha=0.9, target=1.0,
-                    max_iters=run_caps[J], x0_nnz=500,
+                res = _table1_run(J, seed, "max-s-sum", alpha=0.9, target=1.0, max_iters=cap, x0_nnz=500)
+                assert res.termination == "target_reached", (
+                    f"J={J} seed={seed}: f={res.trace.records[-1].f_value:.3g} after {cap} iterations"
                 )
-                iters.append(
-                    res.trace.records[-1].iteration
-                    if res.termination == "target_reached"
-                    else math.inf
-                )
-            median = sorted(iters)[2]
-            assert median <= cap, f"J={J}: median iterations {median} > {cap}"
+
+
+def test_10_quadric_at_the_theoretical_radius():
+    with criterion("iterations to 1e-2 on sparse quadric at delta = 2 sqrt(sigma/H) (J=4)"):
+        # The paper's query radius for Gaussian noise of variance 1e-6 (sigma
+        # 1e-3) and H = 1 is 0.063, six times the other runs' 1e-2. The
+        # second-order term that every probe shares grows with it, and only
+        # the centred fit keeps it out of the block gradient.
+        delta = theoretical_radius(1e-3, 1.0)
+        res = _table1_run(4, 0, "quadric", alpha=0.9, target=1e-2, max_iters=120, delta=delta)
+        assert res.termination == "target_reached", f"f={res.trace.records[-1].f_value:.3g} after 120 iterations"

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zobcd.core import ConfigurationError, NoiseModel, NumericalFailure, RngStreams, make_noisy_oracle
 from zobcd.blocks import random_partition
 from zobcd.estimator import estimate_block_gradient, theoretical_radius
 from zobcd.objectives import SparseQuadric
 from zobcd.optimizer import TERM_FAILURE, ZobcdConfig, run_zobcd
-from zobcd.sampling import make_rademacher, required_rows
+from zobcd.sampling import make_partial_circulant, make_rademacher, required_rows
 
 
 def make_setup(d, J, s_block, seed, b1=2.0):
@@ -101,6 +104,47 @@ class TestEstimateBlockGradient:
             with pytest.raises(ConfigurationError, match="block sparsity"):
                 estimate_block_gradient(oracle, np.zeros(64), p, 0, Z, delta, s)
         assert oracle.query_count == 0
+
+
+class TestExactOnDiagonalQuadrics:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        J=st.integers(1, 3),
+        n=st.integers(100, 300),
+        s=st.integers(1, 4),
+        rows=st.floats(4.0, 6.0),
+        delta=st.floats(1e-3, 0.3),
+        circulant=st.booleans(),
+        data=st.data(),
+    )
+    def test_recovers_the_block_gradient(self, seed, J, n, s, rows, delta, circulant, data):
+        # Along a +-1 direction z, f(x + delta z) - f(x) = delta g.z +
+        # delta^2 tr(H_jj) / 2 exactly for a diagonal Hessian: every
+        # measurement shares the second term, and the centred fit removes it
+        # at any radius. The noiseless estimate is then exact up to rounding
+        # whenever CoSaMP recovers the support, as it does at m >= 4 s ln n.
+        streams = RngStreams(seed)
+        gen = streams.substream("objective")
+        p = random_partition(J * n, J, streams.substream("partition"))
+        j = data.draw(st.integers(0, J - 1), label="block")
+        block = p.block_indices(j)
+        nnz = data.draw(st.integers(1, s), label="nnz in the block")
+        outside = np.setdiff1d(np.arange(J * n), block)
+        support = np.concatenate((gen.choice(block, size=nnz, replace=False),
+                                  gen.choice(outside, size=min(5, outside.size), replace=False)))
+        q = SparseQuadric(J * n, support, gen.uniform(0.5, 2.0, size=support.size))
+        n_j = block.size
+        m = min(math.ceil(rows * s * math.log(n_j)), n_j)
+        assert m >= 4 * s * math.log(n_j)
+        make = make_partial_circulant if circulant else make_rademacher
+        Z = make(m, n_j, streams.substream("directions"))
+        oracle = make_noisy_oracle(q.eval, NoiseModel.none(), streams)
+        # |x_i| >= 1/2 keeps the block gradient well above f's rounding
+        x = gen.choice([-1.0, 1.0], size=J * n) * gen.uniform(0.5, 2.0, size=J * n)
+        g_hat, _ = estimate_block_gradient(oracle, x, p, j, Z, delta, s)
+        g_true = q.grad(x).to_dense()[block]
+        assert np.linalg.norm(g_hat.to_dense() - g_true) <= 1e-10 * np.linalg.norm(g_true)
 
 
 class Blowup:

@@ -112,20 +112,42 @@ class TestRestrictedLsq:
     @given(st.integers(3, 12), st.data())
     def test_matches_minimum_norm_lstsq(self, m, data):
         # Rademacher gathers that are full rank, rank deficient (a column
-        # repeated or negated) or underdetermined (|support| > m)
+        # repeated or negated) or underdetermined (|support| > m); centred,
+        # the fit of a centred y on the centred columns, where a constant
+        # column is a zero column, alone or beside others
         k = data.draw(st.integers(1, 2 * m), label="|support|")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        centred = data.draw(st.booleans(), label="centred")
         gen = np.random.default_rng(seed)
         cols = gen.choice([-1.0, 1.0], size=(m, k))
         if k >= 2 and data.draw(st.booleans(), label="dependent column"):
             i, j = data.draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
             cols[:, j] = data.draw(st.sampled_from([1.0, -1.0]), label="sign") * cols[:, i]
+        if data.draw(st.booleans(), label="constant column"):
+            cols[:, data.draw(st.integers(0, k - 1))] = data.draw(st.sampled_from([1.0, -1.0]))
         y = gen.standard_normal(m)
+        A = cols / np.sqrt(m)
+        if centred:
+            y -= y.mean()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the underdetermined case warns
-            w = restricted_lsq(cols / np.sqrt(m), y)
-        expected = np.linalg.lstsq(cols / np.sqrt(m), y, rcond=None)[0]
+            w = restricted_lsq(A, y, centred)
+        # centred on the integer signs, where a constant column centres to 0
+        P = (cols - cols.mean(axis=0)) / np.sqrt(m) if centred else A
+        expected = np.linalg.lstsq(P, y, rcond=None)[0]
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-9)
+
+    def test_centred_constant_column_gets_no_weight(self):
+        # Centring zeroes a constant column. Alone, its pivot has no larger
+        # one to be judged against; beside another column, it makes the Gram
+        # singular. Either way the minimum-norm fit gives it weight 0.
+        for m in range(3, 40):
+            y = rng(m).standard_normal(m)
+            y -= y.mean()
+            other = rng(m + 100).choice([-1.0, 1.0], size=m)
+            for cols in (np.ones((m, 1)), -np.ones((m, 1)), np.column_stack((np.ones(m), other))):
+                w = restricted_lsq(cols / np.sqrt(m), y, centred=True)
+                assert abs(w[0]) <= 1e-12, (m, w)
 
 
 class TestCosamp:
@@ -372,7 +394,9 @@ class TestFixedPointExit:
         # four fits, each lowering the residual by more than 1 %; the fifth
         # iteration refits the fourth's support, and the stall rule stops there
         gathers, real = [], sparse_recovery.restricted_lsq
-        monkeypatch.setattr(sparse_recovery, "restricted_lsq", lambda A, y: gathers.append(A.copy()) or real(A, y))
+        monkeypatch.setattr(
+            sparse_recovery, "restricted_lsq", lambda A, y, *centred: gathers.append(A.copy()) or real(A, y, *centred)
+        )
         Z, g, _ = planted_instance(200, 6, 60, seed=52)
         y = Z.apply(g) + 0.05 * rng(53).standard_normal(60)
         calls, ref_calls = [], []
