@@ -33,12 +33,15 @@ class SparseQuadric:
             raise ConfigurationError("support and coeffs must have equal length")
         order = np.argsort(support)  # sorted support, each coefficient kept with its coordinate
         support, coeffs = support[order], coeffs[order]
-        if support.size and (np.unique(support).size != support.size or support[-1] >= self.d):
+        if support.size and (np.unique(support).size != support.size or support[0] < 0 or support[-1] >= self.d):
             raise ConfigurationError("support indices must be distinct and within [0, d)")
         if not np.all((coeffs > 0) & (coeffs < np.inf)):
             raise ConfigurationError("quadric coefficients must be positive and finite")
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "coeffs", coeffs)
+        in_support = np.zeros(self.d, dtype=bool)
+        in_support[support] = True
+        object.__setattr__(self, "_in_support", in_support)
 
     @classmethod
     def random(cls, d: int, s: int, rng: np.random.Generator) -> "SparseQuadric":
@@ -57,14 +60,14 @@ class SparseQuadric:
     def eval_block(self, x: np.ndarray, idx: np.ndarray, Z, delta: float) -> np.ndarray:
         xs = np.repeat(x[self.support][None, :], Z.m, axis=0)
         # Only the support coordinates inside the block move: column cols[k]
-        # of Z perturbs support position pos[k]. The -1 sentinel answers the
-        # lookups that land past the last support index.
-        pos = np.searchsorted(self.support, idx)
-        cols = np.flatnonzero(np.append(self.support, -1)[pos] == idx)
-        pos = pos[cols]
+        # of Z perturbs support position pos[k]. The mask finds them without
+        # a search over the whole block.
+        cols = np.flatnonzero(self._in_support[idx])
+        pos = np.searchsorted(self.support, idx[cols])
         xs[:, pos] += delta * Z.directions(cols)
+        xs *= xs
         # A stack of (1 x s) @ (s x 1) products: the same dot product as eval, per row.
-        return 0.5 * (xs[:, None, :] ** 2 @ self.coeffs[:, None])[:, 0, 0]
+        return 0.5 * (xs[:, None, :] @ self.coeffs[:, None])[:, 0, 0]
 
     def grad(self, x: np.ndarray) -> SparseVector:
         return SparseVector(self.support, self.coeffs * x[self.support], self.d)

@@ -1,9 +1,12 @@
 """CoSaMP sparse recovery over an abstract measurement operator.
 
-The inner least-squares fits are exact: a Cholesky solve of the normal
-equations of the gathered columns, or numpy's minimum-norm ``lstsq`` where
-those equations are singular. Only the m x |support| gather is materialized,
-so the partial circulant variant never forms its full matrix.
+The inner least-squares fits are exact: one solve of the normal equations of
+the gathered columns, or numpy's minimum-norm ``lstsq`` where a Cholesky
+factorization finds those equations singular. CoSaMP forms the normal
+matrix from the ensemble's exact integer Gram of the +-1 signs
+(``MeasurementOperator.gram``), so it does not depend on how BLAS orders a
+sum. Only the m x |support| gather is materialized, so the partial circulant
+variant never forms its full matrix.
 
 A centred solve also fits an offset c that every measurement shares,
 y ~= Z v + c 1. It eliminates c exactly: it fits P y on P Z with
@@ -12,6 +15,7 @@ P = I - 1 1^T / m, and never forms P Z (see ``restricted_lsq``).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -70,17 +74,27 @@ class SparseVector:
         return self.indices.size
 
 
-def restricted_lsq(A: np.ndarray, y: np.ndarray, centred: bool = False) -> np.ndarray:
+def restricted_lsq(
+    A: np.ndarray, y: np.ndarray, centred: bool = False, gram: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """Least-squares fit of y on the columns of the gathered matrix A.
 
-    Solves the normal equations A^T A w = A^T y by Cholesky. With more
-    columns than rows, or numerically dependent columns, returns the
-    minimum-norm least-squares solution instead.
+    Solves the normal equations A^T A w = A^T y, once, after a Cholesky
+    factorization has found them positive definite. With more columns than
+    rows, or numerically dependent columns, returns the minimum-norm
+    least-squares solution instead.
 
     ``centred`` fits a centred y (mean zero) on the centred columns P A,
     P = I - 1 1^T / m, without forming them: their Gram matrix is
     A^T A - c c^T / m with c = A^T 1, and (P A)^T y = A^T y. Only the
     ``lstsq`` fallback forms P A.
+
+    ``gram``, when given, is the pair (G, c) = (S^T S, S^T 1) of the +-1
+    signs S with A = S / sqrt(m), as ``MeasurementOperator.gram`` returns
+    it. The normal matrix is then formed from these exact integers instead
+    of from A: the centred one as (m G - c c^T) scale^2 / m, scale =
+    1 / sqrt(m), whose integer numerator is exact in float64, so only the
+    final scaling rounds.
     """
     m, k = A.shape
     if k == 0:
@@ -88,16 +102,11 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, centred: bool = False) -> np.nd
     if k > m:
         warnings.warn(f"restricted least squares with |support|={k} > m={m} is underdetermined", stacklevel=2)
     else:
-        gram = A.T @ A
-        scale = gram.diagonal().max()
-        if centred:
-            c = A.T @ np.ones(m)  # the column sums, by a gemv: half the time of A.sum(axis=0)
-            gram -= np.outer(c, c / m)
+        normal, ref = _normal_matrix(A, centred, gram)
         try:
-            L = np.linalg.cholesky(gram)
-            pivots = np.diagonal(L) ** 2
-            if pivots.min() >= _MIN_PIVOT_RATIO * scale:
-                return np.linalg.solve(L.T, np.linalg.solve(L, A.T @ y))
+            pivots = np.diagonal(np.linalg.cholesky(normal)) ** 2
+            if pivots.min() >= _MIN_PIVOT_RATIO * ref:
+                return np.linalg.solve(normal, A.T @ y)
         except np.linalg.LinAlgError:  # not numerically positive definite
             pass
     if centred:
@@ -107,6 +116,29 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, centred: bool = False) -> np.nd
         A = A - A[0]
         A -= A.mean(axis=0)
     return np.linalg.lstsq(A, y, rcond=None)[0]
+
+
+def _normal_matrix(A: np.ndarray, centred: bool, gram) -> tuple[np.ndarray, float]:
+    """``restricted_lsq``'s normal matrix, and the largest squared column
+    norm of A, which its Cholesky pivots are judged against."""
+    m = A.shape[0]
+    if gram is None:
+        normal = A.T @ A
+        ref = normal.diagonal().max()
+        if centred:
+            c = A.T @ np.ones(m)  # the column sums, by a gemv: half the time of A.sum(axis=0)
+            normal -= np.outer(c, c / m)
+        return normal, ref
+    G, c = gram
+    scale2 = (1.0 / math.sqrt(m)) ** 2  # the square of the ensembles' column scale
+    if centred:
+        # Integers of magnitude at most m**2, exact in float64 while m < 2**26.
+        normal = m * G
+        normal -= np.outer(c, c)
+        normal *= scale2 / m
+    else:
+        normal = G * scale2
+    return normal, m * scale2  # every +-1 column has squared norm m * scale2
 
 
 def cosamp(
@@ -168,7 +200,7 @@ def cosamp(
         if merged.size == 0:
             break
         A = Z.columns(merged)
-        w = restricted_lsq(A, y, centred)
+        w = restricted_lsq(A, y, centred, Z.gram(merged))
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
         fitted = A[:, keep_local] @ estimate.values

@@ -61,6 +61,12 @@ class TestSparseQuadric:
         with pytest.raises(ConfigurationError):
             SparseQuadric(10, np.array([1]), np.array([0.0]))
 
+    @pytest.mark.parametrize("index", [-1, 10])
+    def test_rejects_support_outside_the_dimension(self, index):
+        # a negative index would wrap around to the last coordinates
+        with pytest.raises(ConfigurationError):
+            SparseQuadric(10, np.array([3, index]), np.ones(2))
+
     @pytest.mark.parametrize("coeff", [np.nan, np.inf])
     def test_rejects_non_finite_coeffs(self, coeff):
         with pytest.raises(ConfigurationError):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from zobcd.core import NumericalFailure, RngStreams
-from zobcd.sampling import make_partial_circulant, make_rademacher, required_rows
+from zobcd.sampling import (
+    PartialCirculantEnsemble,
+    RademacherEnsemble,
+    make_partial_circulant,
+    make_rademacher,
+    required_rows,
+)
 from zobcd import sparse_recovery
 from zobcd.sparse_recovery import (
     SparseVector,
@@ -150,6 +156,84 @@ class TestRestrictedLsq:
                 assert abs(w[0]) <= 1e-12, (m, w)
 
 
+@st.composite
+def signed_gathers(draw):
+    """(Z, idx): a dense ensemble, a truncated view of a larger one as unequal
+    blocks use, or a partial circulant one, and a column index set that may
+    repeat a column or hold a column beside its negation."""
+    kind = draw(st.sampled_from(["R", "R view", "RC"]), label="ensemble")
+    n = draw(st.integers(2, 24), label="n")
+    m = draw(st.integers(1, n if kind == "RC" else 40), label="m")
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True), label="pair")
+    negated = draw(st.booleans(), label="negated pair")
+    if kind == "RC":
+        z = gen.choice([-1.0, 1.0], size=n)
+        if negated and n % 2 == 0:
+            # z[t + n/2] = -z[t] makes every column c + n/2 the negation of column c
+            z[n // 2 :] = -z[: n // 2]
+            i, j = i % (n // 2), i % (n // 2) + n // 2
+        Z = PartialCirculantEnsemble(z, gen.choice(n, size=m, replace=False))
+    else:
+        extra = 3 if kind == "R view" else 0
+        cols = gen.choice([-1.0, 1.0], size=(n + extra, m + extra)).astype(np.float32)
+        if negated:
+            cols[j] = -cols[i]
+        if draw(st.booleans(), label="constant column"):
+            cols[i] = 1.0
+        Z = RademacherEnsemble(cols=cols[:n, :m])
+    idx = draw(st.lists(st.integers(0, n - 1), min_size=0, max_size=n + 4), label="idx")  # repeats allowed
+    return Z, np.array(idx + [i, j], dtype=np.intp)
+
+
+class TestExactGram:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_gathers())
+    def test_gram_is_the_integer_gram_of_the_signs(self, gather):
+        Z, idx = gather
+        S = Z.directions(idx)
+        assert np.all(np.abs(S) == 1.0)
+        S = S.astype(np.int64)
+        G, c = Z.gram(idx)
+        assert G.dtype == c.dtype == np.float64
+        assert np.array_equal(G, S.T @ S) and np.array_equal(c, S.sum(axis=0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_gathers())
+    def test_centred_numerator_is_exact(self, gather):
+        # only the final scaling rounds: the normal matrix is the exact
+        # integer m G - c c^T times one float64 factor
+        Z, idx = gather
+        S = Z.directions(idx).astype(np.int64)
+        numerator = Z.m * (S.T @ S) - np.outer(S.sum(axis=0), S.sum(axis=0))
+        normal, ref = sparse_recovery._normal_matrix(Z.columns(idx), True, Z.gram(idx))
+        scale2 = (1.0 / np.sqrt(Z.m)) ** 2
+        assert normal.tobytes() == (numerator.astype(np.float64) * (scale2 / Z.m)).tobytes()
+        assert ref == Z.m * scale2
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_gathers(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_fit_matches_the_plain_float_path(self, gather, centred, seed):
+        # Full rank: the fits agree to 1e-12 relative. Dependent columns,
+        # repeated, negated or constant when centred, or more columns than
+        # rows: both take the same lstsq fallback, bit for bit.
+        Z, idx = gather
+        A = Z.columns(idx)
+        y = np.random.default_rng(seed).standard_normal(Z.m)
+        if centred:
+            y -= y.mean()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the underdetermined case warns
+            exact = restricted_lsq(A, y, centred, Z.gram(idx))
+            plain = restricted_lsq(A, y, centred)
+        S = Z.directions(idx)
+        rank = np.linalg.matrix_rank(np.column_stack((S, np.ones(Z.m)))) - 1 if centred else np.linalg.matrix_rank(S)
+        if rank < idx.size:
+            assert exact.tobytes() == plain.tobytes()
+        else:
+            assert np.linalg.norm(exact - plain) <= 1e-12 * np.linalg.norm(plain)
+
+
 class TestCosamp:
     def test_zero_measurements(self):
         Z = make_rademacher(16, 64, rng(6))
@@ -263,7 +347,7 @@ class TestCosamp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = cosamp(Z, y, 10)
-            w = restricted_lsq(Z.columns(np.arange(16)), y)
+            w = restricted_lsq(Z.columns(np.arange(16)), y, False, Z.gram(np.arange(16)))
         keep = top_k_magnitude(w, 10)
         assert est.indices.tobytes() == keep.tobytes()
         assert est.values.tobytes() == w[keep].tobytes()
@@ -289,7 +373,7 @@ class TestCosamp:
         with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits when m < n
             est = cosamp(Z, y, s, on_iterate=recorder(calls))
-            w = restricted_lsq(Z.columns(np.arange(n)), y)
+            w = restricted_lsq(Z.columns(np.arange(n)), y, False, Z.gram(np.arange(n)))
         keep = top_k_magnitude(w, s)
         # A zero proxy entry keeps its column out of a fit: out of the first
         # one if y's proxy has it, and out of the refit if the residual's does
@@ -313,7 +397,8 @@ STALL_EPS = 0.01
 
 def cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=None):
     """CoSaMP as the paper states it, written apart from the library: every
-    iteration ranks the proxy with ``Z.top_adjoint`` and solves. It stops after
+    iteration ranks the proxy with ``Z.top_adjoint`` and solves from the
+    ensemble's exact Gram, as the library does. It stops after
     max_fits iterations, once a fit k >= 1 lowers the residual norm by less
     than STALL_EPS of the previous fit's, or once the residual falls to
     1e-12 * ||y||."""
@@ -327,7 +412,7 @@ def cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=None):
         if merged.size == 0:
             break
         A = Z.columns(merged)
-        w = restricted_lsq(A, y)
+        w = restricted_lsq(A, y, False, Z.gram(merged))
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], Z.n)
         # from the fit's own columns, as the library does: BLAS rounds a
@@ -395,7 +480,7 @@ class TestFixedPointExit:
         # iteration refits the fourth's support, and the stall rule stops there
         gathers, real = [], sparse_recovery.restricted_lsq
         monkeypatch.setattr(
-            sparse_recovery, "restricted_lsq", lambda A, y, *centred: gathers.append(A.copy()) or real(A, y, *centred)
+            sparse_recovery, "restricted_lsq", lambda A, y, *rest: gathers.append(A.copy()) or real(A, y, *rest)
         )
         Z, g, _ = planted_instance(200, 6, 60, seed=52)
         y = Z.apply(g) + 0.05 * rng(53).standard_normal(60)
