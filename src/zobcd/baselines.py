@@ -28,9 +28,9 @@ class BaselineConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if self.method not in BASELINES:
+        if not isinstance(self.method, str) or self.method not in BASELINES:
             raise ConfigurationError(f"unknown baseline method: {self.method!r}")
-        check_run_limits(self, "alpha", "delta")
+        check_run_limits(self, ("alpha", "delta"))
 
 
 def run_fdsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
@@ -49,7 +49,8 @@ def run_fdsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
             x[i] = xi
         if not np.all(np.isfinite(g)):
             raise NumericalFailure("non-finite FDSA gradient estimate")
-        return x - cfg.alpha * g, base
+        x -= cfg.alpha * g
+        return base
 
     return drive(oracle, x0, iterate, cfg, report_f)
 
@@ -78,7 +79,7 @@ def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
         if not math.isfinite(slope):
             raise NumericalFailure("non-finite SPSA directional derivative")
         x -= np.multiply(alpha * slope, z, out=dz)  # x - (alpha * slope) * z, in place
-        return x, 0.5 * (fp + fm)
+        return 0.5 * (fp + fm)
 
     return drive(oracle, x0, iterate, cfg, report_f)
 
@@ -101,7 +102,7 @@ def run_zoscd(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None
             x[i] = xi
             raise NumericalFailure("non-finite coordinate derivative")
         x[i] = xi - alpha * gi
-        return x, base
+        return base
 
     return drive(oracle, x0, iterate, cfg, report_f)
 

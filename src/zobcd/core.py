@@ -36,6 +36,13 @@ def finite(value) -> bool:
         return False
 
 
+def check_number(name: str, value, integral: bool = False):
+    """Raise ConfigurationError unless value is a number, or an integer when
+    ``integral``; a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ConfigurationError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+
+
 class RngStreams:
     """Named, independent PRNG substreams derived from a single master seed.
 

@@ -2,10 +2,10 @@
 
 One call issues exactly m + 1 oracle queries: a base evaluation at x, then
 one ``Oracle.eval_block`` call for the m forward differences along the
-sample directions. A centred CoSaMP then recovers the s-sparse block
-gradient: every difference shares the base query's noise and, along +-1
-directions, the diagonal second-order term delta^2 tr(H_jj) / 2, so it fits
-that shared offset alongside the gradient and discards it (see README).
+sample directions. CoSaMP then recovers the s-sparse block gradient: every
+difference shares the base query's noise and, along +-1 directions, the
+diagonal second-order term delta^2 tr(H_jj) / 2, so it fits that shared
+offset alongside the gradient and discards it (see README).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ def estimate_block_gradient(
         raise NumericalFailure(f"oracle returned non-finite value at direction {bad[0]}")
     y = (values - base) * scale
 
-    return cosamp(Z, y, s, centred=True), base
+    return cosamp(Z, y, s), base
 
 
 def theoretical_radius(sigma: float, H: float | None = None) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from array import array
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from zobcd.core import (
-    MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, TraceRecord, make_noisy_oracle
+    MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, TraceRecord, check_number, make_noisy_oracle
 )
 from zobcd.baselines import BASELINES, BaselineConfig, run_baseline
 from zobcd.objectives import OBJECTIVES, make_objective
@@ -28,27 +27,15 @@ from zobcd.optimizer import RunResult, ZobcdConfig, run_zobcd
 METHOD_NAMES = ("zobcd-r", "zobcd-rc", *BASELINES)
 
 
-def _check_number(name: str, value, integral: bool = False):
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-        raise ConfigurationError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
-
-
 def _check_fields(where: str, doc: dict, fields: dict):
-    """doc's keys must name dataclass fields and cover those without defaults;
-    values of int- and float-typed fields must be numbers of that kind, and
-    values of bool-typed fields must be true or false."""
+    """doc's keys must name dataclass fields and cover those without defaults.
+    The values are checked by the class the keys name."""
     unknown = set(doc) - set(fields)
     if unknown:
         raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)} (accepted: {sorted(fields)})")
     missing = {k for k, f in fields.items() if f.default is MISSING and f.default_factory is MISSING}
     if missing - set(doc):
         raise ConfigurationError(f"{where} is missing required keys: {sorted(missing - set(doc))}")
-    for key, value in doc.items():
-        kind = fields[key].type  # a string: "int", "float | None", "dict", ...
-        if kind.startswith(("int", "float")) and not (value is None and kind.endswith("None")):
-            _check_number(f"{where}.{key}", value, integral=kind.startswith("int"))
-        elif kind == "bool" and not isinstance(value, bool):
-            raise ConfigurationError(f"{where}.{key} must be true or false, got {value!r}")
 
 
 @dataclass
@@ -72,12 +59,16 @@ class ExperimentSpec:
         if name not in OBJECTIVES:
             raise ConfigurationError(f"unknown objective {name!r} (choose from {OBJECTIVES})")
         for key in ("d", "s"):
-            _check_number(f"objective.{key}", self.objective.get(key), integral=True)
+            check_number(f"objective.{key}", self.objective.get(key), integral=True)
         max_d = MAX_INDEX // 8  # x0 holds d float64s
         if not 1 <= self.objective["s"] <= self.objective["d"] <= max_d:
             raise ConfigurationError(f"objective needs 1 <= s <= d <= {max_d}, got {self.objective}")
+        check_number("repeats", self.repeats, integral=True)
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
+        check_number("seed", self.seed, integral=True)
+        if not isinstance(self.record_timing, bool):
+            raise ConfigurationError(f"record_timing must be true or false, got {self.record_timing!r}")
         if not isinstance(self.params, dict):
             raise ConfigurationError("params must be an object")
         config = BaselineConfig if self.method in BASELINES else ZobcdConfig

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from zobcd.core import ConfigurationError, ConvergenceTrace, MAX_INDEX, NumericalFailure, Oracle, RngStreams, finite
+from zobcd.core import (
+    ConfigurationError, ConvergenceTrace, MAX_INDEX, NumericalFailure, Oracle, RngStreams, check_number, finite
+)
 from zobcd.blocks import BlockPartition, random_partition, reshuffle_if_due
 from zobcd.estimator import estimate_block_gradient
 from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher, required_rows
@@ -46,20 +48,29 @@ class ZobcdConfig:
     def __post_init__(self):
         if self.variant not in ("R", "RC"):
             raise ConfigurationError(f"variant must be 'R' or 'RC', got {self.variant!r}")
+        check_run_limits(
+            self, ("alpha", "delta", "b1", "block_sparsity_factor"), ("d", "J", "s", "reshuffle_period", "m_override")
+        )
         if not 1 <= self.J <= self.d:
             raise ConfigurationError(f"need 1 <= J <= d, got J={self.J}, d={self.d}")
         if self.s < 1:
             raise ConfigurationError(f"need s >= 1, got {self.s}")
-        check_run_limits(self, "alpha", "delta", "b1", "block_sparsity_factor")
         if self.reshuffle_period is not None and self.reshuffle_period < 1:
             raise ConfigurationError(f"reshuffle period must be >= 1, got {self.reshuffle_period}")
         if self.m_override is not None and not 1 <= self.m_override <= MAX_INDEX:
             raise ConfigurationError(f"m_override must be in [1, {MAX_INDEX}], got {self.m_override}")
 
 
-def check_run_limits(cfg, *positive: str):
-    """Validate the fields every method's config shares, and ``positive``:
-    each of those must be finite and > 0."""
+def check_run_limits(cfg, positive: tuple[str, ...], integers: tuple[str, ...] = ()):
+    """Validate the fields every method's config shares, ``positive``, which
+    must be finite and > 0, and ``integers``. Each of these fields that does
+    not default to None must be a number: an integer for ``budget``,
+    ``seed``, ``max_iters`` and ``integers``, and never a bool."""
+    integers = ("budget", "seed", "max_iters", *integers)
+    for name in (*positive, *integers, "target"):
+        value = getattr(cfg, name)
+        if value is not None or cfg.__dataclass_fields__[name].default is not None:
+            check_number(name, value, integral=name in integers)
     for name in positive:
         value = getattr(cfg, name)
         if not (finite(value) and value > 0):
@@ -79,21 +90,22 @@ class RunResult:
     termination: str
 
 
-def step(x_k: np.ndarray, g_hat: SparseVector, alpha: float, p: BlockPartition, j: int) -> np.ndarray:
-    """Negative gradient step on block j only: x - alpha * lift(g_hat)."""
-    out = x_k.copy()
+def step(x: np.ndarray, g_hat: SparseVector, alpha: float, p: BlockPartition, j: int) -> None:
+    """Negative gradient step on block j only, in place and on g_hat's nnz
+    coordinates alone: x -= alpha * lift(g_hat)."""
     if g_hat.nnz:
-        out[p.block_indices(j)[g_hat.indices]] -= alpha * g_hat.values
-    return out
+        x[p.block_indices(j)[g_hat.indices]] -= alpha * g_hat.values
 
 
 def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> RunResult:
     """The run loop of every method: budget, max_iters, target, trace, failures.
 
     ``limits`` is the method's config (``budget``, ``max_iters``, ``target``).
-    ``iterate(x, k, remaining)`` runs iteration k and returns ``(x_next,
-    noisy_f)``, or None if its whole cost exceeds the ``remaining`` queries:
-    the budget is a hard cap, so an iteration that cannot finish is never started.
+    ``iterate(x, k, remaining)`` runs iteration k, steps the run's one x in
+    place and returns the noisy f; or returns None, x untouched, if its whole
+    cost exceeds the ``remaining`` queries: the budget is a hard cap, so an
+    iteration that cannot finish is never started. An iterate that raises
+    ``NumericalFailure`` leaves x as the last completed iteration left it.
     The run's termination is ``TERM_TARGET``, ``TERM_FAILURE``,
     ``TERM_MAX_ITERS`` once ``max_iters`` iterations have run, or else
     ``TERM_BUDGET``.
@@ -104,7 +116,7 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
     trace reports each iteration's noisy base query, which lags the iterate by
     one step.
     """
-    x = x0.copy()
+    x = x0.copy()  # the run's one x, which every iteration steps in place
     trace = ConvergenceTrace()
     append, clock = trace.append, time.perf_counter_ns
     budget, target = limits.budget, limits.target
@@ -121,14 +133,13 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
         t0 = clock()
         en0 = oracle.eval_nanos
         try:
-            out = iterate(x, k + 1, budget - (oracle.query_count - q0))
+            noisy_f = iterate(x, k + 1, budget - (oracle.query_count - q0))
         except NumericalFailure:
             termination = TERM_FAILURE
             break
-        if out is None:
+        if noisy_f is None:
             break
         k += 1
-        x, noisy_f = out
         nanos = (clock() - t0) - (oracle.eval_nanos - en0)
         f_rep = noisy_f if report_f is None else report_f(x)
         append(k, oracle.query_count - q0, f_rep, nanos)
@@ -191,11 +202,11 @@ def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -
         if remaining < Z.m + 1:
             return None
         g_hat, base = estimate_block_gradient(oracle, x, p, j, Z, cfg.delta, s_block)
-        x = step(x, g_hat, cfg.alpha, p, j)
+        step(x, g_hat, cfg.alpha, p, j)
         new_p = reshuffle_if_due(p, k, cfg.reshuffle_period, part_rng)
         if new_p is not p and cfg.variant == "RC":  # fresh circulant rows for the new blocks
             ensembles = {n: ens.with_new_omega(omega_rng) for n, ens in ensembles.items()}
         p = new_p
-        return x, base
+        return base
 
     return drive(oracle, x0, iterate, cfg, report_f)

@@ -8,7 +8,7 @@ matrix from the ensemble's exact integer Gram of the +-1 signs
 sum. Only the m x |support| gather is materialized, so the partial circulant
 variant never forms its full matrix.
 
-A centred solve also fits an offset c that every measurement shares,
+Every solve also fits an offset c that every measurement shares,
 y ~= Z v + c 1. It eliminates c exactly: it fits P y on P Z with
 P = I - 1 1^T / m, and never forms P Z (see ``restricted_lsq``).
 """
@@ -74,27 +74,22 @@ class SparseVector:
         return self.indices.size
 
 
-def restricted_lsq(
-    A: np.ndarray, y: np.ndarray, centred: bool = False, gram: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    """Least-squares fit of y on the columns of the gathered matrix A.
+def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """Least-squares fit of y, which must have mean zero as ``cosamp`` passes
+    it, on the centred columns P A, P = I - 1 1^T / m, of the gathered A.
 
-    Solves the normal equations A^T A w = A^T y, once, after a Cholesky
-    factorization has found them positive definite. With more columns than
-    rows, or numerically dependent columns, returns the minimum-norm
-    least-squares solution instead.
-
-    ``centred`` fits a centred y (mean zero) on the centred columns P A,
-    P = I - 1 1^T / m, without forming them: their Gram matrix is
-    A^T A - c c^T / m with c = A^T 1, and (P A)^T y = A^T y. Only the
-    ``lstsq`` fallback forms P A.
+    It never forms P A for the normal equations: their matrix is
+    A^T A - c c^T / m with c = A^T 1, and (P A)^T y = A^T y. It solves them
+    once, after a Cholesky factorization has found them positive definite.
+    With more columns than rows, or numerically dependent columns, it returns
+    ``lstsq``'s minimum-norm solution on P A instead.
 
     ``gram``, when given, is the pair (G, c) = (S^T S, S^T 1) of the +-1
     signs S with A = S / sqrt(m), as ``MeasurementOperator.gram`` returns
     it. The normal matrix is then formed from these exact integers instead
-    of from A: the centred one as (m G - c c^T) scale^2 / m, scale =
-    1 / sqrt(m), whose integer numerator is exact in float64, so only the
-    final scaling rounds.
+    of from A, as (m G - c c^T) scale^2 / m, scale = 1 / sqrt(m), whose
+    integer numerator is exact in float64, so only the final scaling rounds.
+    Without it the normal matrix is formed in float64 from A.
     """
     m, k = A.shape
     if k == 0:
@@ -102,49 +97,46 @@ def restricted_lsq(
     if k > m:
         warnings.warn(f"restricted least squares with |support|={k} > m={m} is underdetermined", stacklevel=2)
     else:
-        normal, ref = _normal_matrix(A, centred, gram)
+        normal, ref = _normal_matrix(A, gram)
         try:
             pivots = np.diagonal(np.linalg.cholesky(normal)) ** 2
             if pivots.min() >= _MIN_PIVOT_RATIO * ref:
                 return np.linalg.solve(normal, A.T @ y)
         except np.linalg.LinAlgError:  # not numerically positive definite
             pass
-    if centred:
-        # Taking off the first row before the mean centres a constant
-        # column to exactly zero, so lstsq gives it no weight instead of
-        # fitting its rounding error.
-        A = A - A[0]
-        A -= A.mean(axis=0)
+    # Taking off the first row before the mean centres a constant column to
+    # exactly zero, so lstsq gives it no weight, not its rounding error.
+    A = A - A[0]
+    A -= A.mean(axis=0)
     return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
-def _normal_matrix(A: np.ndarray, centred: bool, gram) -> tuple[np.ndarray, float]:
-    """``restricted_lsq``'s normal matrix, and the largest squared column
-    norm of A, which its Cholesky pivots are judged against."""
+def _normal_matrix(A: np.ndarray, gram) -> tuple[np.ndarray, float]:
+    """``restricted_lsq``'s centred normal matrix, and the largest squared
+    column norm of A, which its Cholesky pivots are judged against."""
     m = A.shape[0]
     if gram is None:
         normal = A.T @ A
         ref = normal.diagonal().max()
-        if centred:
-            c = A.T @ np.ones(m)  # the column sums, by a gemv: half the time of A.sum(axis=0)
-            normal -= np.outer(c, c / m)
+        c = A.T @ np.ones(m)  # the column sums, by a gemv: half the time of A.sum(axis=0)
+        normal -= np.outer(c, c / m)
         return normal, ref
     G, c = gram
     scale2 = (1.0 / math.sqrt(m)) ** 2  # the square of the ensembles' column scale
-    if centred:
-        # Integers of magnitude at most m**2, exact in float64 while m < 2**26.
-        normal = m * G
-        normal -= np.outer(c, c)
-        normal *= scale2 / m
-    else:
-        normal = G * scale2
+    # Integers of magnitude at most m**2, exact in float64 while m < 2**26.
+    normal = m * G
+    normal -= np.outer(c, c)
+    normal *= scale2 / m
     return normal, m * scale2  # every +-1 column has squared norm m * scale2
 
 
-def cosamp(
-    Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None, *, centred: bool = False
-) -> SparseVector:
-    """CoSaMP recovery of an s-sparse solution to Z v ~= y, for 1 <= s <= n.
+def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> SparseVector:
+    """CoSaMP recovery of an s-sparse v and a free offset c with Z v + c 1 ~= y,
+    for 1 <= s <= n; returns v alone.
+
+    The loop runs on P y and P Z, P = I - 1 1^T / m. Its residual r stays
+    centred, so ``Z.top_adjoint(r)`` ranks Z^T P r = (P Z)^T r, and the norms
+    the exits compare are those of P y and r.
 
     Runs at most ``_MAX_FITS`` iterations and returns the latest iterate.
     It stops earlier at the first of these exits:
@@ -152,7 +144,7 @@ def cosamp(
     - the residual stalls: fit k >= 1 leaves ||r_k|| >= (1 - eps) ||r_{k-1}||
       with eps = 0.01, the halting rule of Needell and Tropp (ACHA 2009). On
       noisy data the residual reaches its noise floor within a fit or two;
-    - the residual falls to 1e-12 ||y|| or below;
+    - the residual falls to 1e-12 ||P y|| or below;
     - the proxy has no nonzero entry, so there is nothing to fit.
 
     The proxy only ranks candidates: ``Z.top_adjoint`` picks its 2s largest
@@ -171,11 +163,6 @@ def cosamp(
     iterate in order, the one an exit fires on included: a stalled iterate
     is seen once, last, and is the estimate returned. Used by diagnostics
     and tests, never by the solver itself.
-
-    ``centred`` solves Z v + c 1 ~= y for v and a free offset c, and returns
-    v alone: the loop above runs on P y and P Z, P = I - 1 1^T / m. Its
-    residual r stays centred, so ``Z.top_adjoint(r)`` ranks Z^T P r =
-    (P Z)^T r, and the norms the exits compare are those of P y and r.
     """
     n = Z.n
     if y.shape != (Z.m,):
@@ -183,8 +170,7 @@ def cosamp(
     if not 1 <= s <= n:
         raise ConfigurationError(f"need 1 <= s <= n for the sparsity target, got s={s}, n={n}")
 
-    if centred:
-        y = y - y.mean()
+    y = y - y.mean()
     ynorm = float(np.linalg.norm(y))
     if not np.isfinite(ynorm):
         raise NumericalFailure("non-finite measurements")
@@ -200,12 +186,11 @@ def cosamp(
         if merged.size == 0:
             break
         A = Z.columns(merged)
-        w = restricted_lsq(A, y, centred, Z.gram(merged))
+        w = restricted_lsq(A, y, gram=Z.gram(merged))
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
         fitted = A[:, keep_local] @ estimate.values
-        if centred:
-            fitted -= fitted.mean()
+        fitted -= fitted.mean()
         r = y - fitted
         if not np.all(np.isfinite(r)):
             raise NumericalFailure(f"non-finite residual at CoSaMP iteration {k}")

@@ -26,8 +26,17 @@ class TestConfig:
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigurationError):
             BaselineConfig(method="adam", alpha=0.1, delta=0.01, budget=10)
+        with pytest.raises(ConfigurationError):  # unhashable, so no dict lookup may see it
+            BaselineConfig(method=["fdsa"], alpha=0.1, delta=0.01, budget=10)
 
-    @pytest.mark.parametrize("bad", [dict(alpha=0.0), dict(delta=0.0), dict(budget=0)])
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(alpha=0.0), dict(delta=0.0), dict(budget=0),
+         # integer fields take integers only, never a float or a bool
+         dict(budget=10.5), dict(max_iters=2.5), dict(budget=True), dict(seed=1.5), dict(max_iters=True),
+         # number fields take numbers only
+         dict(alpha="0.1"), dict(delta=None), dict(target=True)],
+    )
     def test_bad_numbers(self, bad):
         kwargs = dict(method="fdsa", alpha=0.1, delta=0.01, budget=10)
         kwargs.update(bad)

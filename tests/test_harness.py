@@ -45,6 +45,14 @@ BAD_INPUTS = {
     "params-duplicates-seed": dict(params=dict(_PARAMS, seed=4)),
     "params-missing-budget": dict(params={k: v for k, v in _PARAMS.items() if k != "budget"}),
     "params-string-number": dict(params=dict(_PARAMS, J="2")),
+    "params-fractional-J": dict(params=dict(_PARAMS, J=2.5)),
+    "params-fractional-max-iters": dict(params=dict(_PARAMS, max_iters=2.5)),
+    "params-fractional-budget": dict(params=dict(_PARAMS, budget=10.5)),
+    "params-bool-J": dict(params=dict(_PARAMS, J=True)),
+    "params-null-alpha": dict(params=dict(_PARAMS, alpha=None)),
+    "params-baseline-fractional-budget": dict(method="spsa", params=dict(alpha=0.1, delta=1e-3, budget=10.5)),
+    "params-baseline-string-target": dict(method="zoscd", params=dict(alpha=0.1, delta=1e-3, budget=10, target="1")),
+    "repeats-bool": dict(repeats=True),
     "params-delta-zero": dict(params=dict(_PARAMS, delta=0.0)),
     "params-reshuffle-period-zero": dict(params=dict(_PARAMS, reshuffle_period=0)),
     "params-baseline-given-J": dict(method="fdsa", params=dict(alpha=0.1, delta=1e-3, budget=10, J=2)),

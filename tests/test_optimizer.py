@@ -15,6 +15,7 @@ from zobcd.harness import METHOD_NAMES
 from zobcd.objectives import SparseQuadric
 from zobcd.optimizer import (
     TERM_BUDGET,
+    TERM_FAILURE,
     TERM_MAX_ITERS,
     TERM_TARGET,
     ZobcdConfig,
@@ -46,18 +47,17 @@ class TestStep:
     def test_zero_gradient_leaves_x_unchanged(self):
         p = random_partition(10, 2, np.random.default_rng(0))
         x = np.arange(10.0)
-        out = step(x, SparseVector.empty(5), 0.5, p, 0)
-        assert np.array_equal(out, x)
-        assert out is not x
+        assert step(x, SparseVector.empty(5), 0.5, p, 0) is None
+        assert x.tobytes() == np.arange(10.0).tobytes()
 
     def test_updates_only_named_block_coordinates(self):
         p = random_partition(10, 2, np.random.default_rng(0))
         x = np.zeros(10)
         g = SparseVector(np.array([1, 3]), np.array([2.0, -4.0]), 5)
-        out = step(x, g, 0.25, p, 1)
+        assert step(x, g, 0.25, p, 1) is None
         expected = np.zeros(10)
         expected[p.block_indices(1)[[1, 3]]] = [-0.5, 1.0]
-        assert np.array_equal(out, expected)
+        assert x.tobytes() == expected.tobytes()
 
 
 class TestConfigValidation:
@@ -68,13 +68,23 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "bad",
         [dict(J=0), dict(J=11), dict(s=0), dict(alpha=0.0), dict(budget=0), dict(delta=0.0),
-         dict(delta=-1e-3), dict(reshuffle_period=0)],
+         dict(delta=-1e-3), dict(reshuffle_period=0),
+         # integer fields take integers only, never a float or a bool
+         dict(J=2.5), dict(max_iters=2.5), dict(budget=10.5), dict(d=10.0), dict(s=True), dict(J=True),
+         dict(seed=1.5), dict(reshuffle_period=1.5), dict(m_override=3.0), dict(max_iters=False),
+         # number fields take numbers only
+         dict(alpha="0.1"), dict(delta=True), dict(b1=None), dict(target="1e-2"), dict(block_sparsity_factor=[1])],
     )
     def test_bad_numbers(self, bad):
         kwargs = dict(variant="R", d=10, J=2, s=1, alpha=0.1, delta=0.01, budget=10)
         kwargs.update(bad)
         with pytest.raises(ConfigurationError):
             ZobcdConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = ZobcdConfig(variant="R", d=np.int64(10), J=np.int32(2), s=1, alpha=np.float64(0.1), delta=0.01,
+                          budget=np.int64(10), max_iters=np.int64(3), target=np.float32(1e-2))
+        assert cfg.J == 2
 
     def test_rc_requires_equal_blocks(self):
         q, x0, cfg, oracle = make_quadric_run(100, 3, 4, variant="RC", max_iters=1)
@@ -349,6 +359,51 @@ class TestBudgetIsHardCap:
         assert res.trace.records[-1].cumulative_queries == oracle.query_count
         assert res.termination == TERM_BUDGET
         assert np.array_equal(x0, x0_before)
+
+
+def nan_after(n, f):
+    """f for its first n calls, NaN from then on."""
+    calls = 0
+
+    def g(x):
+        nonlocal calls
+        calls += 1
+        return f(x) if calls <= n else math.nan
+
+    return g
+
+
+class TestFailedRunKeepsTheLastIterate:
+    """Every method steps the run's one x in place, and an iteration that
+    raises leaves x as the last completed iteration left it."""
+
+    @pytest.mark.parametrize("nan_at", ["first", "last"])  # query of the failing iteration
+    @pytest.mark.parametrize("method", METHOD_NAMES)
+    def test_x_final_is_the_last_completed_iterate(self, method, nan_at):
+        d, completed = 80, 3
+        q = SparseQuadric.random(d, d, np.random.default_rng(1))  # dense, so every method's steps move x
+        x0 = np.random.default_rng(2).standard_normal(d)
+
+        def run(f, max_iters=None):
+            oracle = make_noisy_oracle(f, NoiseModel.none(), RngStreams(3))
+            if method.startswith("zobcd"):
+                variant = "R" if method == "zobcd-r" else "RC"
+                cfg = ZobcdConfig(variant=variant, d=d, J=4, s=4, alpha=0.5, delta=1e-2, budget=10**6, seed=3,
+                                  reshuffle_period=2, max_iters=max_iters)
+                res = run_zobcd(oracle, x0, cfg)
+            else:
+                cfg = BaselineConfig(method=method, alpha=0.1, delta=1e-3, budget=10**6, seed=3, max_iters=max_iters)
+                res = run_baseline(oracle, x0, cfg)
+            return res, oracle.query_count
+
+        ref, queries = run(q.eval, max_iters=completed)
+        assert ref.termination == TERM_MAX_ITERS
+        assert not np.array_equal(ref.x_final, x0)
+        cost = queries // completed  # every iteration of these runs costs the same
+        res, _ = run(nan_after(queries + (cost - 1 if nan_at == "last" else 0), q.eval))
+        assert res.termination == TERM_FAILURE
+        assert res.trace.iteration[-1] == completed
+        assert res.x_final.tobytes() == ref.x_final.tobytes()
 
 
 class OneShotSpy:

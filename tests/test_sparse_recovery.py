@@ -93,11 +93,13 @@ class TestRestrictedLsq:
         assert restricted_lsq(Z.columns(np.array([], dtype=int)), np.ones(8)).size == 0
 
     def test_orthonormal_rows_exact(self):
-        # 10x4 matrix with orthonormal columns: pseudo-inverse is the transpose
+        # 10x4 matrix with orthonormal columns orthogonal to 1: centring
+        # leaves them as they are, and the pseudo-inverse is the transpose
         gen = rng(2)
-        Q, _ = np.linalg.qr(gen.standard_normal((10, 4)))
+        Q = np.linalg.qr(np.column_stack((np.ones(10), gen.standard_normal((10, 4)))))[0][:, 1:]
         w_true = gen.standard_normal(4)
         y = Q @ w_true
+        assert abs(y.mean()) <= 1e-15
         w = restricted_lsq(Q, y)
         np.testing.assert_allclose(w, w_true, atol=1e-10)
 
@@ -105,8 +107,11 @@ class TestRestrictedLsq:
         Z = make_rademacher(32, 64, rng(3))
         support = np.array([4, 20, 41])
         y = rng(4).standard_normal(32)
-        w = restricted_lsq(Z.columns(support), y)
-        expected, *_ = np.linalg.lstsq(Z.columns(support), y, rcond=None)
+        y -= y.mean()
+        A = Z.columns(support)
+        w = restricted_lsq(A, y)
+        Q, R = np.linalg.qr(A - A.mean(axis=0))
+        expected = np.linalg.solve(R, Q.T @ y)
         np.testing.assert_allclose(w, expected, rtol=1e-8, atol=1e-10)
 
     def test_underdetermined_warns(self):
@@ -117,13 +122,12 @@ class TestRestrictedLsq:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 12), st.data())
     def test_matches_minimum_norm_lstsq(self, m, data):
-        # Rademacher gathers that are full rank, rank deficient (a column
-        # repeated or negated) or underdetermined (|support| > m); centred,
-        # the fit of a centred y on the centred columns, where a constant
-        # column is a zero column, alone or beside others
+        # The fit of a centred y on the centred columns of Rademacher gathers
+        # that are full rank, rank deficient (a column repeated or negated,
+        # or constant, which centres to a zero column, alone or beside
+        # others) or underdetermined (|support| > m)
         k = data.draw(st.integers(1, 2 * m), label="|support|")
         seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-        centred = data.draw(st.booleans(), label="centred")
         gen = np.random.default_rng(seed)
         cols = gen.choice([-1.0, 1.0], size=(m, k))
         if k >= 2 and data.draw(st.booleans(), label="dependent column"):
@@ -132,14 +136,12 @@ class TestRestrictedLsq:
         if data.draw(st.booleans(), label="constant column"):
             cols[:, data.draw(st.integers(0, k - 1))] = data.draw(st.sampled_from([1.0, -1.0]))
         y = gen.standard_normal(m)
-        A = cols / np.sqrt(m)
-        if centred:
-            y -= y.mean()
+        y -= y.mean()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the underdetermined case warns
-            w = restricted_lsq(A, y, centred)
+            w = restricted_lsq(cols / np.sqrt(m), y)
         # centred on the integer signs, where a constant column centres to 0
-        P = (cols - cols.mean(axis=0)) / np.sqrt(m) if centred else A
+        P = (cols - cols.mean(axis=0)) / np.sqrt(m)
         expected = np.linalg.lstsq(P, y, rcond=None)[0]
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-9)
 
@@ -152,7 +154,7 @@ class TestRestrictedLsq:
             y -= y.mean()
             other = rng(m + 100).choice([-1.0, 1.0], size=m)
             for cols in (np.ones((m, 1)), -np.ones((m, 1)), np.column_stack((np.ones(m), other))):
-                w = restricted_lsq(cols / np.sqrt(m), y, centred=True)
+                w = restricted_lsq(cols / np.sqrt(m), y)
                 assert abs(w[0]) <= 1e-12, (m, w)
 
 
@@ -206,28 +208,27 @@ class TestExactGram:
         Z, idx = gather
         S = Z.directions(idx).astype(np.int64)
         numerator = Z.m * (S.T @ S) - np.outer(S.sum(axis=0), S.sum(axis=0))
-        normal, ref = sparse_recovery._normal_matrix(Z.columns(idx), True, Z.gram(idx))
+        normal, ref = sparse_recovery._normal_matrix(Z.columns(idx), Z.gram(idx))
         scale2 = (1.0 / np.sqrt(Z.m)) ** 2
         assert normal.tobytes() == (numerator.astype(np.float64) * (scale2 / Z.m)).tobytes()
         assert ref == Z.m * scale2
 
     @settings(max_examples=300, deadline=None)
-    @given(signed_gathers(), st.booleans(), st.integers(0, 2**32 - 1))
-    def test_fit_matches_the_plain_float_path(self, gather, centred, seed):
+    @given(signed_gathers(), st.integers(0, 2**32 - 1))
+    def test_fit_matches_the_plain_float_path(self, gather, seed):
         # Full rank: the fits agree to 1e-12 relative. Dependent columns,
-        # repeated, negated or constant when centred, or more columns than
-        # rows: both take the same lstsq fallback, bit for bit.
+        # repeated, negated or constant, or more columns than rows: both take
+        # the same lstsq fallback, bit for bit.
         Z, idx = gather
         A = Z.columns(idx)
         y = np.random.default_rng(seed).standard_normal(Z.m)
-        if centred:
-            y -= y.mean()
+        y -= y.mean()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the underdetermined case warns
-            exact = restricted_lsq(A, y, centred, Z.gram(idx))
-            plain = restricted_lsq(A, y, centred)
+            exact = restricted_lsq(A, y, gram=Z.gram(idx))
+            plain = restricted_lsq(A, y)
         S = Z.directions(idx)
-        rank = np.linalg.matrix_rank(np.column_stack((S, np.ones(Z.m)))) - 1 if centred else np.linalg.matrix_rank(S)
+        rank = np.linalg.matrix_rank(np.column_stack((S, np.ones(Z.m)))) - 1  # of the centred columns
         if rank < idx.size:
             assert exact.tobytes() == plain.tobytes()
         else:
@@ -240,19 +241,22 @@ class TestCosamp:
         out = cosamp(Z, np.zeros(16), 3)
         assert out.nnz == 0 and out.dim == 64
 
-    def test_exact_recovery_over_seeds(self):
+    # An offset that every measurement shares is fitted and discarded
+    @pytest.mark.parametrize("offset", [0.0, 2.5])
+    def test_exact_recovery_over_seeds(self, offset):
         n, s, m = 64, 3, 32
         successes = 0
         for seed in range(100):
             Z, g, support = planted_instance(n, s, m, seed, unit=True)
-            est = cosamp(Z, Z.apply(g), s)
+            est = cosamp(Z, Z.apply(g) + offset, s)
             if np.array_equal(est.indices, support) and np.allclose(
                 est.values, g[support], atol=1e-8
             ):
                 successes += 1
         assert successes >= 99
 
-    def test_circulant_exact_recovery_at_the_row_rule(self):
+    @pytest.mark.parametrize("offset", [0.0, -2.5])
+    def test_circulant_exact_recovery_at_the_row_rule(self, offset):
         # acceptance test_01's protocol on the partial circulant ensemble
         n, s = 1024, 10
         m = required_rows(s, n)
@@ -264,7 +268,7 @@ class TestCosamp:
             support = gen.choice(n, size=s, replace=False)
             g = np.zeros(n)
             g[support] = gen.standard_normal(s)
-            est = cosamp(Z, Z.apply(g), s).to_dense()
+            est = cosamp(Z, Z.apply(g) + offset, s).to_dense()
             if set(np.nonzero(est)[0]) == set(support) and np.linalg.norm(est - g) <= 1e-8 * np.linalg.norm(g):
                 successes += 1
         assert successes >= 99
@@ -340,14 +344,15 @@ class TestCosamp:
                 cosamp(Z, y, s)
 
     def test_degenerate_sparsity_falls_back(self):
-        # s >= n/2 on a square ensemble: the loop's first fit is the full,
-        # well-posed least-squares fit, and nothing warns
-        Z = make_rademacher(16, 16, rng(41))
+        # s >= n/2 on 24 rows: the loop's first fit is the full, well-posed
+        # least-squares fit, and nothing warns. The centred fit has m - 1
+        # degrees of freedom, so a square ensemble would leave it singular.
+        Z = make_rademacher(24, 16, rng(41))
         y = Z.apply(rng(42).standard_normal(16))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = cosamp(Z, y, 10)
-            w = restricted_lsq(Z.columns(np.arange(16)), y, False, Z.gram(np.arange(16)))
+            w = restricted_lsq(Z.columns(np.arange(16)), y - y.mean(), gram=Z.gram(np.arange(16)))
         keep = top_k_magnitude(w, 10)
         assert est.indices.tobytes() == keep.tobytes()
         assert est.values.tobytes() == w[keep].tobytes()
@@ -363,7 +368,9 @@ class TestCosamp:
     )
     def test_half_or_more_of_n_gives_the_full_fit(self, seed, n, data, noise, max_fits, circulant):
         s = data.draw(st.integers((n + 1) // 2, n), label="s")
-        m = data.draw(st.integers(1, n), label="m")
+        # a circulant ensemble has at most n rows; a dense one may have more,
+        # which leaves the centred full fit well posed
+        m = data.draw(st.integers(1, n if circulant else 2 * n), label="m")
         gen = rng(seed)
         Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
         g = np.zeros(n)
@@ -371,9 +378,10 @@ class TestCosamp:
         y = Z.apply(g) + noise * gen.standard_normal(m)
         calls = []
         with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # underdetermined fits when m < n
+            warnings.simplefilter("ignore")  # underdetermined fits when m <= n
             est = cosamp(Z, y, s, on_iterate=recorder(calls))
-            w = restricted_lsq(Z.columns(np.arange(n)), y, False, Z.gram(np.arange(n)))
+            y = y - y.mean()  # the measurements cosamp fits
+            w = restricted_lsq(Z.columns(np.arange(n)), y, gram=Z.gram(np.arange(n)))
         keep = top_k_magnitude(w, s)
         # A zero proxy entry keeps its column out of a fit: out of the first
         # one if y's proxy has it, and out of the refit if the residual's does
@@ -381,7 +389,8 @@ class TestCosamp:
         # entries zero in exact arithmetic, where rounding leaves them at
         # exactly 0 or at 1e-16 by chance.
         assume(Z.top_adjoint(y, 2 * s).size == n)
-        r = y - Z.columns(keep) @ w[keep]
+        fitted = Z.columns(keep) @ w[keep]
+        r = y - (fitted - fitted.mean())
         if max_fits > 1 and np.linalg.norm(r) > 1e-12 * np.linalg.norm(y):
             assume(np.union1d(keep, Z.top_adjoint(r, 2 * s)).size == n)
         assert est.indices.tobytes() == keep.tobytes()
@@ -396,12 +405,13 @@ STALL_EPS = 0.01
 
 
 def cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=None):
-    """CoSaMP as the paper states it, written apart from the library: every
-    iteration ranks the proxy with ``Z.top_adjoint`` and solves from the
-    ensemble's exact Gram, as the library does. It stops after
-    max_fits iterations, once a fit k >= 1 lowers the residual norm by less
-    than STALL_EPS of the previous fit's, or once the residual falls to
-    1e-12 * ||y||."""
+    """CoSaMP as the paper states it, on centred measurements and columns,
+    written apart from the library: every iteration ranks the proxy with
+    ``Z.top_adjoint`` and solves from the ensemble's exact Gram, as the
+    library does. It stops after max_fits iterations, once a fit k >= 1
+    lowers the residual norm by less than STALL_EPS of the previous fit's, or
+    once the residual falls to 1e-12 * ||y - mean(y)||."""
+    y = y - y.mean()
     ynorm = float(np.linalg.norm(y))
     estimate = SparseVector.empty(Z.n)
     r = y.copy()
@@ -412,12 +422,13 @@ def cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=None):
         if merged.size == 0:
             break
         A = Z.columns(merged)
-        w = restricted_lsq(A, y, False, Z.gram(merged))
+        w = restricted_lsq(A, y, gram=Z.gram(merged))
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], Z.n)
         # from the fit's own columns, as the library does: BLAS rounds a
         # product with RC's C-ordered Z.columns copy differently
-        r = y - A[:, keep_local] @ estimate.values
+        fitted = A[:, keep_local] @ estimate.values
+        r = y - (fitted - fitted.mean())
         norms.append(float(np.linalg.norm(r)))
         if on_iterate is not None:
             on_iterate(k, estimate, norms[-1])
@@ -478,12 +489,13 @@ class TestFixedPointExit:
     def test_stops_at_a_repeated_iterate(self, monkeypatch):
         # four fits, each lowering the residual by more than 1 %; the fifth
         # iteration refits the fourth's support, and the stall rule stops there
+        # (seed 71 is an instance on which the centred solve does this)
         gathers, real = [], sparse_recovery.restricted_lsq
         monkeypatch.setattr(
-            sparse_recovery, "restricted_lsq", lambda A, y, *rest: gathers.append(A.copy()) or real(A, y, *rest)
+            sparse_recovery, "restricted_lsq", lambda A, y, **kw: gathers.append(A.copy()) or real(A, y, **kw)
         )
-        Z, g, _ = planted_instance(200, 6, 60, seed=52)
-        y = Z.apply(g) + 0.05 * rng(53).standard_normal(60)
+        Z, g, _ = planted_instance(200, 6, 60, seed=71)
+        y = Z.apply(g) + 0.05 * rng(72).standard_normal(60)
         calls, ref_calls = [], []
         est = cosamp(Z, y, 6, on_iterate=recorder(calls))
         cosamp_solving_every_iteration(Z, y, 6, sparse_recovery._MAX_FITS, on_iterate=recorder(ref_calls))
@@ -506,6 +518,7 @@ class TestStallExit:
         with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits at small m
             est = cosamp(Z, y, s, on_iterate=recorder(calls))
+        y = y - y.mean()  # the measurements cosamp fits
         if not calls:  # nothing to fit: y = 0, or its proxy has no nonzero entry
             assert est.nnz == 0
             assert not np.any(y) or top_k_magnitude(Z.adjoint(y), 2 * s).size == 0
