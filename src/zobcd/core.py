@@ -52,6 +52,7 @@ class RngStreams:
     """
 
     def __init__(self, master_seed: int):
+        check_number("seed", master_seed, integral=True)
         self.master_seed = int(master_seed)
         if self.master_seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.master_seed}")

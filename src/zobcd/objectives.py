@@ -87,26 +87,26 @@ class MaxSSumSquared:
         if not 1 <= self.s <= self.d:
             raise ConfigurationError(f"need 1 <= s <= d, got s={self.s}, d={self.d}")
 
-    def _values(self, mags: np.ndarray) -> np.ndarray:
-        # f of each row of a (rows, c) array of magnitudes, c >= s. The top s
-        # are summed in sorted order, so the result does not depend on where
-        # the partition left them, and a stack of (1 x s) @ (s x 1) products
-        # takes each row's dot product as it would on its own.
-        c = mags.shape[1]
-        top = np.sort(np.partition(mags, c - self.s, axis=1)[:, c - self.s :], axis=1)
+    def _values(self, top: np.ndarray) -> np.ndarray:
+        # f of each row of a (rows, s) array of the top s magnitudes in
+        # ascending order, so the sum does not depend on where they came
+        # from; a stack of (1 x s) @ (s x 1) products takes each row's dot
+        # product as it would on its own.
         return 0.5 * (top[:, None, :] @ top[:, :, None])[:, 0, 0]
 
     def eval(self, x: np.ndarray) -> float:
-        return float(self._values(np.abs(x)[None, :])[0])
+        a = np.abs(x)
+        top = np.sort(np.partition(a, a.size - self.s)[a.size - self.s :])
+        return float(self._values(top[None, :])[0])
 
     def eval_block(self, x: np.ndarray, idx: np.ndarray, Z, delta: float) -> np.ndarray:
         # Block coordinate c takes one of two magnitudes, |x_c + delta| or
         # |x_c - delta|; the others keep |x_c|. Let t be the s-th largest of
         # the coordinates' smaller magnitudes. A coordinate whose larger
         # magnitude is below t is outside the top s of every probe, so only
-        # the remaining candidates are partitioned per row. The comparisons
-        # are written as ~(a < t), so that NaN stays a candidate and
-        # propagates as it does in eval.
+        # the remaining candidates, s and a few more, are sorted per row. The
+        # comparisons are written as ~(a < t), so that NaN stays a candidate
+        # and propagates as it does in eval.
         a = np.abs(x)
         up, down = np.abs(x[idx] + delta), np.abs(x[idx] - delta)
         lower = a.copy()
@@ -118,8 +118,9 @@ class MaxSSumSquared:
         cols = np.flatnonzero(~(np.maximum(up, down) < t))
         mags = np.empty((Z.m, fixed.size + cols.size))
         mags[:, : fixed.size] = fixed
-        mags[:, fixed.size :] = np.abs(x[idx[cols]] + delta * Z.directions(cols))
-        return self._values(mags)
+        np.abs(x[idx[cols]] + delta * Z.directions(cols), out=mags[:, fixed.size :])
+        mags.sort(axis=1)
+        return self._values(mags[:, -self.s :])
 
     def grad(self, x: np.ndarray) -> SparseVector:
         sel = top_k_magnitude(x, self.s)

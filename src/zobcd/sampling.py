@@ -10,9 +10,10 @@ converts them to float64 first, so it rounds as a float64 product would.
 CoSaMP's proxy only ranks columns (``top_adjoint``), and the dense ensemble
 ranks it from the float32 product, which reads half the bytes.
 
-``gram`` gives CoSaMP's fits the Gram matrix and column sums of the unscaled
-+-1 columns. Their entries are integers, so both are exact; the dense
-ensemble computes them in float32, which is exact while m < 2**24.
+``columns`` gives a CoSaMP fit everything it takes from the ensemble, from
+one gather: the scaled columns, and the Gram matrix and column sums of their
+unscaled +-1 signs. The latter two have integer entries, so both are exact;
+the dense ensemble computes them in float32, which is exact while m < 2**24.
 """
 
 from __future__ import annotations
@@ -45,8 +46,8 @@ class MeasurementOperator(Protocol):
     def row(self, i: int) -> np.ndarray: ...  # unscaled +-1 sample direction
     def directions(self, cols: np.ndarray) -> np.ndarray: ...  # unscaled m x |cols| gather
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray: ...  # top k of adjoint(y), for ranking only
-    def columns(self, idx: np.ndarray) -> np.ndarray: ...  # scaled column gather
-    def gram(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]: ...  # exact S^T S, S^T 1 of directions(idx)
+    # the scaled gather S / sqrt(m) of the signs S = directions(idx), and the exact S^T S and S^T 1
+    def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
 def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
@@ -128,20 +129,17 @@ class RademacherEnsemble:
         # traces depend on it.
         return self.cols[cols].astype(np.float64).T
 
-    def columns(self, idx: np.ndarray) -> np.ndarray:
-        # Scaled in the gathered copy, which is the F-ordered directions(idx).
-        out = self.cols[idx].astype(np.float64)
-        out *= self._scale
-        return out.T
-
-    def gram(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Integer sums of +-1 products, |G| <= m: exact in float32 below
-        # 2**24, whatever order BLAS sums in, and 0.6-0.7 of the time of
-        # float64. The column sums are a gemv too, a fraction of S.sum's time.
+    def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # One gather. A is scaled as it is converted, and is the F-ordered
+        # directions(idx) * scale. G and c are integer sums of +-1 products,
+        # |G| <= m: exact in float32 below 2**24, whatever order BLAS sums
+        # in, and 0.6-0.7 of the time of float64. The column sums are a gemv
+        # too, a fraction of S.sum's time.
         S = self.cols[idx]
+        A = np.multiply(S, self._scale, dtype=np.float64).T
         if self.m >= _FLOAT32_EXACT:
             S = S.astype(np.float64)
-        return (S @ S.T).astype(np.float64), (S @ np.ones(self.m, S.dtype)).astype(np.float64)
+        return A, (S @ S.T).astype(np.float64), (S @ np.ones(self.m, S.dtype)).astype(np.float64)
 
 
 class PartialCirculantEnsemble:
@@ -204,12 +202,9 @@ class PartialCirculantEnsemble:
         cols = np.asarray(cols, dtype=np.intp)
         return self._zz[self.omega[:, None] + cols[None, :]]
 
-    def columns(self, idx: np.ndarray) -> np.ndarray:
-        return self.directions(idx) * self._scale
-
-    def gram(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         S = self.directions(idx)
-        return S.T @ S, S.sum(axis=0)
+        return S * self._scale, S.T @ S, S.sum(axis=0)
 
     def with_new_omega(self, rng: np.random.Generator) -> "PartialCirculantEnsemble":
         """Fresh row subset over the same generator (used on block reshuffles).

@@ -3,10 +3,10 @@
 The inner least-squares fits are exact: one solve of the normal equations of
 the gathered columns, or numpy's minimum-norm ``lstsq`` where a Cholesky
 factorization finds those equations singular. CoSaMP forms the normal
-matrix from the ensemble's exact integer Gram of the +-1 signs
-(``MeasurementOperator.gram``), so it does not depend on how BLAS orders a
-sum. Only the m x |support| gather is materialized, so the partial circulant
-variant never forms its full matrix.
+matrix from the ensemble's exact integer Gram of the +-1 signs, which
+``MeasurementOperator.columns`` returns with the columns, so it does not
+depend on how BLAS orders a sum. Only the m x |support| gather is
+materialized, so the partial circulant variant never forms its full matrix.
 
 Every solve also fits an offset c that every measurement shares,
 y ~= Z v + c 1. It eliminates c exactly: it fits P y on P Z with
@@ -85,9 +85,9 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.n
     ``lstsq``'s minimum-norm solution on P A instead.
 
     ``gram``, when given, is the pair (G, c) = (S^T S, S^T 1) of the +-1
-    signs S with A = S / sqrt(m), as ``MeasurementOperator.gram`` returns
-    it. The normal matrix is then formed from these exact integers instead
-    of from A, as (m G - c c^T) scale^2 / m, scale = 1 / sqrt(m), whose
+    signs S with A = S / sqrt(m), as ``MeasurementOperator.columns`` returns
+    it with A. The normal matrix is then formed from these exact integers
+    instead of from A, as (m G - c c^T) scale^2 / m, scale = 1 / sqrt(m), whose
     integer numerator is exact in float64, so only the final scaling rounds.
     Without it the normal matrix is formed in float64 from A.
     """
@@ -185,8 +185,8 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> Sp
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
-        A = Z.columns(merged)
-        w = restricted_lsq(A, y, gram=Z.gram(merged))
+        A, G, c = Z.columns(merged)
+        w = restricted_lsq(A, y, gram=(G, c))
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
         fitted = A[:, keep_local] @ estimate.values

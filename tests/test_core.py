@@ -36,6 +36,22 @@ def test_negative_master_seed_rejected(seed):
         RngStreams(seed)
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, np.float64(2.0), True, False, "2"])
+def test_non_integer_master_seed_rejected(seed):
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        RngStreams(seed)
+    with pytest.raises(ConfigurationError, match="seed must be an integer"):
+        make_noisy_oracle(lambda x: 0.0, NoiseModel.gaussian(1.0), RngStreams(seed))
+
+
+@pytest.mark.parametrize("seed", [np.int64(7), np.uint8(7), np.int32(7)])
+def test_numpy_integer_master_seed_is_its_int(seed):
+    streams = RngStreams(seed)
+    assert streams.master_seed == 7 and type(streams.master_seed) is int
+    got = make_noisy_oracle(lambda x: 0.0, NoiseModel.gaussian(1.0), streams).eval(np.zeros(1))
+    assert got == make_noisy_oracle(lambda x: 0.0, NoiseModel.gaussian(1.0), RngStreams(7)).eval(np.zeros(1))
+
+
 def test_query_counter_increments_once_per_eval():
     oracle = make_noisy_oracle(lambda x: 0.0, NoiseModel.none(), RngStreams(0))
     x = np.zeros(3)

@@ -101,8 +101,10 @@ class TestColumnMajorRademacher:
         assert RademacherEnsemble(cols=Z.cols).cols is Z.cols  # float32 is not copied
         assert RademacherEnsemble(cols=Z.cols.astype(np.float64)).cols.tobytes() == Z.cols.tobytes()
         idx = rng(12).choice(Z.n, size=13, replace=False)
-        assert Zi.columns(idx).tobytes(order="F") == Z.columns(idx).tobytes(order="F")
-        assert Zi.columns(idx).flags.f_contiguous
+        # the columns A, and the Gram G and column sums c of their signs
+        for got, want in zip(Zi.columns(idx), Z.columns(idx)):
+            assert got.dtype == np.float64 and got.tobytes(order="F") == want.tobytes(order="F")
+        assert Zi.columns(idx)[0].flags.f_contiguous
         y = Z.apply(np.eye(Z.n)[5])
         est = cosamp(Zi, y, 1)
         ref = cosamp(Z, y, 1)
@@ -120,15 +122,15 @@ class TestColumnMajorRademacher:
         for idx in (cols, np.sort(cols), np.arange(Z.n)):
             # float64 and F-ordered, so that objectives' delta * directions
             # and CoSaMP's products stay float64 arithmetic on that order
-            for out in (Z.directions(idx), Z.columns(idx)):
+            A = Z.columns(idx)[0]
+            for out in (Z.directions(idx), A):
                 assert out.dtype == np.float64 and out.flags.f_contiguous
             assert np.array_equal(Z.directions(idx), rows[:, idx])
-            assert np.array_equal(Z.columns(idx), rows[:, idx] * (1.0 / math.sqrt(Z.m)))
+            assert np.array_equal(A, rows[:, idx] * (1.0 / math.sqrt(Z.m)))
             # the same memory order too: BLAS products on it round the same way
-            assert Z.columns(idx).strides == (rows[:, idx] * 1.0).strides
+            assert A.strides == (rows[:, idx] * 1.0).strides
             # scaled in one gathered array, bit for bit the scaled directions
-            A = Z.columns(idx)
-            assert A.flags.f_contiguous and not np.shares_memory(A, Z.cols)
+            assert not np.shares_memory(A, Z.cols)
             assert A.tobytes(order="F") == (Z.directions(idx) * (1.0 / math.sqrt(Z.m))).tobytes(order="F")
         assert Z.directions(np.empty(0, dtype=np.intp)).shape == (Z.m, 0)
         for i in range(Z.m):
@@ -285,7 +287,10 @@ class TestPartialCirculant:
     def test_columns_match_dense_oracle(self):
         Z = make_partial_circulant(24, 96, rng(11))
         idx = np.array([0, 5, 17, 95])
-        np.testing.assert_allclose(Z.columns(idx), dense_matrix(Z)[:, idx], rtol=1e-12)
+        A, G, c = Z.columns(idx)
+        np.testing.assert_allclose(A, dense_matrix(Z)[:, idx], rtol=1e-12)
+        S = np.array([Z.row(i) for i in range(Z.m)])[:, idx].astype(np.int64)  # the +-1 signs
+        assert np.array_equal(G, S.T @ S) and np.array_equal(c, S.sum(axis=0))
 
     def test_generator_entries_and_omega(self):
         Z = make_partial_circulant(10, 40, rng(5))

@@ -89,8 +89,11 @@ class TestSparseVector:
 
 class TestRestrictedLsq:
     def test_empty_support(self):
-        Z = make_rademacher(8, 16, rng(1))
-        assert restricted_lsq(Z.columns(np.array([], dtype=int)), np.ones(8)).size == 0
+        for Z in (make_rademacher(8, 16, rng(1)), make_partial_circulant(8, 16, rng(1))):
+            A, G, c = Z.columns(np.array([], dtype=int))
+            assert (A.shape, G.shape, c.shape) == ((8, 0), (0, 0), (0,))
+            assert restricted_lsq(A, np.ones(8)).size == 0
+            assert restricted_lsq(A, np.ones(8), gram=(G, c)).size == 0
 
     def test_orthonormal_rows_exact(self):
         # 10x4 matrix with orthonormal columns orthogonal to 1: centring
@@ -108,7 +111,7 @@ class TestRestrictedLsq:
         support = np.array([4, 20, 41])
         y = rng(4).standard_normal(32)
         y -= y.mean()
-        A = Z.columns(support)
+        A = Z.columns(support)[0]
         w = restricted_lsq(A, y)
         Q, R = np.linalg.qr(A - A.mean(axis=0))
         expected = np.linalg.solve(R, Q.T @ y)
@@ -117,7 +120,7 @@ class TestRestrictedLsq:
     def test_underdetermined_warns(self):
         Z = make_rademacher(4, 64, rng(5))
         with pytest.warns(UserWarning, match="underdetermined"):
-            restricted_lsq(Z.columns(np.arange(10)), np.ones(4))
+            restricted_lsq(Z.columns(np.arange(10))[0], np.ones(4))
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(3, 12), st.data())
@@ -192,11 +195,17 @@ class TestExactGram:
     @settings(max_examples=300, deadline=None)
     @given(signed_gathers())
     def test_gram_is_the_integer_gram_of_the_signs(self, gather):
+        # One gather gives the fit all three: A, bit for bit and in the
+        # memory order of the scaled signs, and their exact integer Gram
         Z, idx = gather
         S = Z.directions(idx)
         assert np.all(np.abs(S) == 1.0)
+        A, G, c = Z.columns(idx)
+        scaled = S * (1.0 / np.sqrt(Z.m))
+        assert A.dtype == np.float64
+        assert (A.flags.c_contiguous, A.flags.f_contiguous) == (scaled.flags.c_contiguous, scaled.flags.f_contiguous)
+        assert A.tobytes(order="A") == scaled.tobytes(order="A")
         S = S.astype(np.int64)
-        G, c = Z.gram(idx)
         assert G.dtype == c.dtype == np.float64
         assert np.array_equal(G, S.T @ S) and np.array_equal(c, S.sum(axis=0))
 
@@ -208,7 +217,8 @@ class TestExactGram:
         Z, idx = gather
         S = Z.directions(idx).astype(np.int64)
         numerator = Z.m * (S.T @ S) - np.outer(S.sum(axis=0), S.sum(axis=0))
-        normal, ref = sparse_recovery._normal_matrix(Z.columns(idx), Z.gram(idx))
+        A, G, c = Z.columns(idx)
+        normal, ref = sparse_recovery._normal_matrix(A, (G, c))
         scale2 = (1.0 / np.sqrt(Z.m)) ** 2
         assert normal.tobytes() == (numerator.astype(np.float64) * (scale2 / Z.m)).tobytes()
         assert ref == Z.m * scale2
@@ -220,12 +230,12 @@ class TestExactGram:
         # repeated, negated or constant, or more columns than rows: both take
         # the same lstsq fallback, bit for bit.
         Z, idx = gather
-        A = Z.columns(idx)
+        A, G, c = Z.columns(idx)
         y = np.random.default_rng(seed).standard_normal(Z.m)
         y -= y.mean()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the underdetermined case warns
-            exact = restricted_lsq(A, y, gram=Z.gram(idx))
+            exact = restricted_lsq(A, y, gram=(G, c))
             plain = restricted_lsq(A, y)
         S = Z.directions(idx)
         rank = np.linalg.matrix_rank(np.column_stack((S, np.ones(Z.m)))) - 1  # of the centred columns
@@ -240,6 +250,23 @@ class TestCosamp:
         Z = make_rademacher(16, 64, rng(6))
         out = cosamp(Z, np.zeros(16), 3)
         assert out.nnz == 0 and out.dim == 64
+
+    @pytest.mark.parametrize("make", [make_rademacher, make_partial_circulant])
+    def test_one_gather_per_fit(self, make, monkeypatch):
+        # each fit takes its columns and their Gram from one Z.columns call,
+        # and on RC that call builds the index array of one directions gather
+        Z, g, _ = planted_instance(200, 6, 60, seed=71)
+        if make is make_partial_circulant:
+            Z = make(60, 200, rng(71))
+        cls, seen = type(Z), []
+        for name in ("columns", "directions"):
+            real = getattr(cls, name)
+            monkeypatch.setattr(cls, name, lambda self, idx, real=real, name=name: seen.append(name) or real(self, idx))
+        y = Z.apply(g) + 0.05 * rng(72).standard_normal(60)
+        calls = []
+        cosamp(Z, y, 6, on_iterate=recorder(calls))
+        gathers = ["columns", "directions"] if make is make_partial_circulant else ["columns"]
+        assert len(calls) >= 2 and seen == gathers * len(calls)
 
     # An offset that every measurement shares is fitted and discarded
     @pytest.mark.parametrize("offset", [0.0, 2.5])
@@ -352,7 +379,8 @@ class TestCosamp:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             est = cosamp(Z, y, 10)
-            w = restricted_lsq(Z.columns(np.arange(16)), y - y.mean(), gram=Z.gram(np.arange(16)))
+            A, G, c = Z.columns(np.arange(16))
+            w = restricted_lsq(A, y - y.mean(), gram=(G, c))
         keep = top_k_magnitude(w, 10)
         assert est.indices.tobytes() == keep.tobytes()
         assert est.values.tobytes() == w[keep].tobytes()
@@ -381,7 +409,8 @@ class TestCosamp:
             warnings.simplefilter("ignore")  # underdetermined fits when m <= n
             est = cosamp(Z, y, s, on_iterate=recorder(calls))
             y = y - y.mean()  # the measurements cosamp fits
-            w = restricted_lsq(Z.columns(np.arange(n)), y, gram=Z.gram(np.arange(n)))
+            A, G, c = Z.columns(np.arange(n))
+            w = restricted_lsq(A, y, gram=(G, c))
         keep = top_k_magnitude(w, s)
         # A zero proxy entry keeps its column out of a fit: out of the first
         # one if y's proxy has it, and out of the refit if the residual's does
@@ -389,7 +418,7 @@ class TestCosamp:
         # entries zero in exact arithmetic, where rounding leaves them at
         # exactly 0 or at 1e-16 by chance.
         assume(Z.top_adjoint(y, 2 * s).size == n)
-        fitted = Z.columns(keep) @ w[keep]
+        fitted = Z.columns(keep)[0] @ w[keep]
         r = y - (fitted - fitted.mean())
         if max_fits > 1 and np.linalg.norm(r) > 1e-12 * np.linalg.norm(y):
             assume(np.union1d(keep, Z.top_adjoint(r, 2 * s)).size == n)
@@ -421,8 +450,8 @@ def cosamp_solving_every_iteration(Z, y, s, max_fits, on_iterate=None):
         merged = np.union1d(estimate.indices, candidates)
         if merged.size == 0:
             break
-        A = Z.columns(merged)
-        w = restricted_lsq(A, y, gram=Z.gram(merged))
+        A, G, c = Z.columns(merged)
+        w = restricted_lsq(A, y, gram=(G, c))
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], Z.n)
         # from the fit's own columns, as the library does: BLAS rounds a
