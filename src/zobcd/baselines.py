@@ -14,7 +14,7 @@ import numpy as np
 
 from zobcd.core import ConfigurationError, NumericalFailure, Oracle, RngStreams
 from zobcd.optimizer import RunResult, check_run_limits, drive
-from zobcd.sampling import _sign_bits
+from zobcd.sampling import draw_signs
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,12 @@ def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
     """
     d, alpha, delta = x0.size, cfg.alpha, cfg.delta
     rng = RngStreams(cfg.seed).substream("directions")
+    z = np.empty(d)  # the +-1 direction, redrawn in place every iteration
 
     def iterate(x, k, remaining):
         if remaining < 2:
             return None
-        z = _sign_bits(1, d, rng)[0]  # the +-1 direction, as int8
-        z *= 2
-        z -= 1
+        draw_signs(z, rng)
         dz = delta * z
         probe = x + dz
         fp = oracle.eval(probe)

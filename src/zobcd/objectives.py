@@ -95,8 +95,22 @@ class MaxSSumSquared:
         return 0.5 * (top[:, None, :] @ top[:, :, None])[:, 0, 0]
 
     def eval(self, x: np.ndarray) -> float:
+        # Zero ranks below every other magnitude, NaN included, so the top s
+        # are the top s of the nonzero magnitudes, padded with zeros. When
+        # fewer than one entry in eight is nonzero, as on a sparse iterate,
+        # selecting from those alone is over ten times faster than a
+        # partition of d mostly equal entries; on a dense x it is slower. A
+        # strided sample of about 256 entries tells the two apart cheaply;
+        # either way the value is the same.
         a = np.abs(x)
-        top = np.sort(np.partition(a, a.size - self.s)[a.size - self.s :])
+        sample = a[:: max(1, a.size // 256)]
+        if 8 * np.count_nonzero(sample) < sample.size:
+            a = a[a != 0]
+        if a.size < self.s:
+            top = np.zeros(self.s)
+            top[self.s - a.size :] = np.sort(a)
+        else:
+            top = np.sort(np.partition(a, a.size - self.s)[a.size - self.s :])
         return float(self._values(top[None, :])[0])
 
     def eval_block(self, x: np.ndarray, idx: np.ndarray, Z, delta: float) -> np.ndarray:
@@ -118,7 +132,10 @@ class MaxSSumSquared:
         cols = np.flatnonzero(~(np.maximum(up, down) < t))
         mags = np.empty((Z.m, fixed.size + cols.size))
         mags[:, : fixed.size] = fixed
-        np.abs(x[idx[cols]] + delta * Z.directions(cols), out=mags[:, fixed.size :])
+        probes = mags[:, fixed.size :]  # |x_c + delta * z_ic|, formed in place, beside the one gather
+        np.multiply(Z.directions(cols), delta, out=probes)
+        probes += x[idx[cols]]
+        np.abs(probes, out=probes)
         mags.sort(axis=1)
         return self._values(mags[:, -self.s :])
 

@@ -7,6 +7,10 @@ returns float64 arrays.
 
 The dense signs are stored as float32, in which +-1 is exact; a product
 converts them to float64 first, so it rounds as a float64 product would.
+``make_rademacher`` draws them one random bit a sign (``draw_signs``), in
+the order of that store and in small chunks written straight into it, so
+the build holds no full-size temporary. SPSA draws its directions the same
+way; the circulant generator z keeps numpy's one-byte ``integers`` draw.
 CoSaMP's proxy only ranks columns (``top_adjoint``), and the dense ensemble
 ranks it from the float32 product, which reads half the bytes.
 
@@ -25,7 +29,7 @@ from typing import Protocol
 
 import numpy as np
 
-from zobcd.core import MAX_INDEX, ConfigurationError, NumericalFailure
+from zobcd.core import MAX_INDEX, ConfigurationError, NumericalFailure, check_number
 
 # float32 holds every integer below 2**24 exactly, so a float32 product of
 # +-1 vectors of fewer than this many entries is exact.
@@ -216,39 +220,54 @@ class PartialCirculantEnsemble:
         return out
 
 
-def _sign_bits(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """The m x n int8 array of 0/1 that ``rng.integers(0, 2, size=(m, n), dtype=np.int8)`` returns.
+# Signs per chunk of make_rademacher's draw: a multiple of 32, so that every
+# chunk draws whole uint32 words, and small, so that a chunk's temporaries
+# (1.125 bytes a sign) add about 0.15 MB to the build.
+_CHUNK = 2**17
 
-    numpy draws each of those as the high bit of the next byte of its 32-bit
-    outputs, lowest byte first (Lemire's multiply-shift for a range of 2).
-    So the bits are the high bits of the little-endian bytes of
-    ceil(m*n/4) full-range uint32 draws, read about four times faster. The
-    values, and the generator state left behind, are the same for every bit
-    generator; the fixed-seed traces depend on that.
+
+def draw_signs(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Fill the 1-D array ``out`` with +-1, one random bit a sign, and return it.
+
+    Sign i is bit i of ceil(out.size / 32) full-range uint32 draws, each
+    read from its little-endian bytes most significant bit first (as
+    ``np.unpackbits`` reads them); a set bit is +1. The bits of the last word
+    past out.size are dropped, so fills of multiples of 32 signs in a row
+    give the signs of one fill of them all: the generator keeps a buffered
+    32-bit half between calls.
     """
-    words = rng.integers(0, 2**32, size=-(-m * n // 4), dtype=np.uint32)
-    bits = words.astype("<u4", copy=False).view(np.int8)[: m * n]
-    # In place, so the draw holds one byte per sign: an arithmetic shift
-    # leaves -1 where the byte's high bit is set and 0 elsewhere.
-    bits >>= 7
-    return np.negative(bits, out=bits).reshape(m, n)
+    words = rng.integers(0, 2**32, size=-(-out.size // 32), dtype=np.uint32)
+    bits = np.unpackbits(words.astype("<u4", copy=False).view(np.uint8), count=out.size).view(np.int8)
+    bits += bits  # 0/1 to -1/+1, in place on one byte a sign
+    bits -= 1
+    out[...] = bits
+    return out
 
 
 def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsemble:
-    """m x n Rademacher ensemble whose signs are those ``_sign_bits`` draws."""
+    """m x n Rademacher ensemble whose stored ``cols`` are ``draw_signs(cols.ravel(), rng)``.
+
+    That is, entry (i, c) of the matrix, cols[c, i], is sign c * m + i: the
+    signs are drawn in storage order, in word-aligned chunks, straight into
+    the float32 store.
+    """
+    check_number("m", m, integral=True)
+    check_number("n", n, integral=True)
+    m, n = int(m), int(n)
     if m <= 0 or n <= 0:
         raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
     if 4 * m * n > MAX_INDEX:  # cols holds m * n float32s
         raise ConfigurationError(f"an m={m} x n={n} ensemble is too large to address")
-    signs = _sign_bits(m, n, rng)
-    signs *= 2
-    signs -= 1
     cols = np.empty((n, m), dtype=np.float32)
-    cols[...] = signs.T
+    flat = cols.reshape(-1)
+    for start in range(0, flat.size, _CHUNK):
+        draw_signs(flat[start : start + _CHUNK], rng)
     return RademacherEnsemble(cols=cols)
 
 
 def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialCirculantEnsemble:
+    check_number("m", m, integral=True)
+    check_number("n", n, integral=True)
     if m <= 0 or n <= 0:
         raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
     if m > n:
@@ -266,6 +285,9 @@ def required_rows(s: int, n: int, b1: float = 2.0) -> int:
     such a block costs as many queries as finite differences on every
     coordinate.
     """
+    check_number("s", s, integral=True)
+    check_number("n", n, integral=True)
+    check_number("b1", b1)
     if s < 1 or s > n:
         raise ConfigurationError(f"need 1 <= s <= n, got s={s}, n={n}")
     if not 0 < b1 < math.inf:

@@ -190,6 +190,7 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> Sp
         keep_local = top_k_magnitude(w, s)
         estimate = SparseVector(merged[keep_local], w[keep_local], n)
         fitted = A[:, keep_local] @ estimate.values
+        del A  # the next fit's gather then never holds two fits' columns at once
         fitted -= fitted.mean()
         r = y - fitted
         if not np.all(np.isfinite(r)):

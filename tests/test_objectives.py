@@ -123,9 +123,15 @@ def test_eval_block_equals_eval_bit_for_bit(data):
     gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     idx = gen.permutation(d)[:n]  # unsorted block coordinates
     Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
-    if data.draw(st.booleans(), label="ties"):
+    kind = data.draw(st.sampled_from(["normal", "ties", "sparse"]), label="x")
+    if kind == "ties":
         # tied and zero magnitudes, some a delta away from zero or from each other
         x = gen.choice([-2.0, -1.0, -delta, 0.0, delta, 0.5, 1.0], size=d)
+    elif kind == "sparse":
+        # mostly zero, often with fewer than s nonzeros: eval selects from the nonzeros alone
+        x = np.zeros(d)
+        nonzero = gen.choice(d, size=data.draw(st.integers(0, d // 10), label="nonzeros"), replace=False)
+        x[nonzero] = gen.standard_normal(nonzero.size)
     else:
         x = gen.standard_normal(d)
     q = SparseQuadric(d, gen.choice(d, size=s, replace=False), gen.uniform(0.5, 2.0, size=s))
@@ -144,6 +150,28 @@ def test_max_s_sum_eval_block_propagates_nan():
     x = np.array([5.0, np.nan, 1.0, 0.0, 4.0, 2.0])
     assert np.isnan(f.eval(x))
     assert np.all(np.isnan(f.eval_block(x, np.array([4, 0]), Z, 0.1)))
+    # on a mostly zero x too, where eval selects from the nonzeros alone
+    f = MaxSSumSquared(2000, 5)
+    x = np.zeros(2000)
+    x[[3, 700, 1500]] = [1.0, np.nan, -2.0]
+    assert np.isnan(f.eval(x))
+    assert np.all(np.isnan(f.eval_block(x, np.array([10, 3, 11]), make_rademacher(4, 3, np.random.default_rng(1)), 0.1)))
+
+
+@pytest.mark.parametrize("d", [7, 300, 20000])
+def test_max_s_sum_eval_equals_full_sort_bit_for_bit(d):
+    # the top s of |x| from one full sort, at every density: all zero, fewer
+    # than s nonzeros, around the one-in-eight switch, and dense
+    s = max(1, d // 100)
+    f = MaxSSumSquared(d, s)
+    gen = rng(13)
+    for nonzeros in sorted({0, 1, s - 1, s, s + 1, d // 100, d // 9, d // 7, d // 2, d}):
+        for scale in (1e-150, 1.0, 1e150):
+            x = np.zeros(d)
+            x[gen.choice(d, size=nonzeros, replace=False)] = scale * gen.standard_normal(nonzeros)
+            x[np.flatnonzero(x == 0)[:3]] = -0.0  # a zero too
+            top = np.sort(np.abs(x))[None, d - s :]
+            assert f.eval(x) == float(f._values(top)[0])
 
 
 def test_objective_registry():

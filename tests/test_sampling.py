@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from zobcd.core import ConfigurationError, NumericalFailure, RngStreams
 from zobcd.sampling import (
     PartialCirculantEnsemble,
     RademacherEnsemble,
+    draw_signs,
     make_partial_circulant,
     make_rademacher,
     required_rows,
@@ -46,23 +48,38 @@ class TestRademacher:
         assert np.all(np.abs(Z.cols.T.mean(axis=0)) <= 4 / np.sqrt(1000))
 
     def test_bad_sizes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_rademacher(0, 8, rng())
-        with pytest.raises(ConfigurationError):
-            make_rademacher(4, -1, rng())
+        # a size that is not an integer is a configuration error too, not numpy's TypeError
+        for m, n in [(0, 8), (4, -1), (2.5, 8), (4, 8.0), (True, 8), (4, "8"), (4, None)]:
+            with pytest.raises(ConfigurationError):
+                make_rademacher(m, n, rng())
+        Z = make_rademacher(np.int64(4), np.int32(8), rng())  # numpy integers are integers
+        assert (Z.m, Z.n) == (4, 8)
 
 
 def rademacher_reference(m, n, gen):
-    """The row-major build make_rademacher replaced."""
-    return (gen.integers(0, 2, size=(m, n), dtype=np.int8) * 2 - 1).astype(np.float64)
+    """The m x n matrix make_rademacher stores, from shifts of uint32 draws.
+
+    Entry (i, c) is bit j = c * m + i of the draws: in word j // 32, byte
+    j % 32 // 8 counted from the least significant, bit j % 8 counted from
+    that byte's most significant; a set bit is +1.
+    """
+    words = gen.integers(0, 2**32, size=-(-m * n // 32), dtype=np.uint32).astype(np.int64)
+    j = np.arange(m * n)
+    shift = 8 * (j % 32 // 8) + 7 - j % 8
+    bits = (words[j // 32] >> shift) & 1
+    return (2.0 * bits - 1.0).reshape(n, m).T
 
 
 class TestColumnMajorRademacher:
-    SHAPES = [(1, 1), (1, 7), (3, 5), (7, 9), (13, 17), (64, 33), (181, 50)]
+    # 181 x 1000 and 269 x 1000 cross one and two chunks of the draw, and
+    # 1 x (2**17 + 1) leaves one sign for its second; every shape but 64 x 33
+    # holds a number of signs that is not a whole number of 32-bit words
+    SHAPES = [(1, 1), (1, 7), (3, 5), (7, 9), (13, 17), (64, 33), (181, 50), (181, 1000), (269, 1000),
+              (1, 2**17 + 1)]
 
     @pytest.mark.parametrize("m, n", SHAPES)
     def test_build_equals_integers_reference(self, m, n):
-        for seed in range(6):
+        for seed in range(6 if m * n < 10**5 else 2):
             Z = make_rademacher(m, n, np.random.default_rng(seed))
             assert np.array_equal(Z.cols.T, rademacher_reference(m, n, np.random.default_rng(seed)))
             assert Z.cols.flags.c_contiguous and Z.cols.shape == (n, m)
@@ -81,9 +98,43 @@ class TestColumnMajorRademacher:
             g.integers(0, 2**32, dtype=np.uint32)  # leaves a 32-bit half buffered
             return g
 
+        for m, n in [(9, 11), (181, 1000)]:  # one chunk, and three
+            g, g_ref = make(), make()
+            assert np.array_equal(make_rademacher(m, n, g).cols.T, rademacher_reference(m, n, g_ref))
+            assert g.random() == g_ref.random()  # and leaves the same state behind
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 70), st.integers(0, 2**32 - 1), st.booleans())
+    def test_fills_split_at_a_word_boundary_give_one_fill(self, words, rest, seed, buffered):
+        def make():
+            g = np.random.default_rng(seed)
+            if buffered:
+                g.integers(0, 2**32, dtype=np.uint32)
+            return g
+
         g, g_ref = make(), make()
-        assert np.array_equal(make_rademacher(9, 11, g).cols.T, rademacher_reference(9, 11, g_ref))
-        assert g.random() == g_ref.random()  # and leaves the same state behind
+        whole = draw_signs(np.empty(32 * words + rest), g_ref)
+        split = np.empty_like(whole)
+        draw_signs(split[: 32 * words], g)
+        draw_signs(split[32 * words :], g)
+        assert split.tobytes() == whole.tobytes()
+        assert g.random() == g_ref.random()
+
+    def test_fill_takes_the_dtype_of_its_output(self):
+        for dtype in (np.float32, np.float64, np.int8):
+            out = draw_signs(np.empty(100, dtype=dtype), rng(7))
+            assert out.dtype == dtype
+            assert np.array_equal(out, rademacher_reference(1, 100, rng(7))[0])
+
+    def test_build_holds_no_full_size_temporary(self):
+        # the 21.5 MB store and one chunk's 1.125 bytes a sign, never one byte a sign of the whole draw
+        tracemalloc.start()
+        try:
+            Z = make_rademacher(269, 20000, rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - Z.cols.nbytes < 2**19
 
     def test_constructor_takes_columns_by_keyword_only(self):
         Z = make_rademacher(6, 10, rng(2))
@@ -308,6 +359,12 @@ class TestPartialCirculant:
         with pytest.raises(ConfigurationError):
             make_partial_circulant(50, 10, rng())
 
+    def test_bad_sizes_rejected(self):
+        for m, n in [(0, 8), (4, -1), (2.5, 8), (4, 8.0), (True, 8), (4, "8"), (4, None)]:
+            with pytest.raises(ConfigurationError):
+                make_partial_circulant(m, n, rng())
+        assert make_partial_circulant(np.int64(4), np.int32(8), rng()).m == 4
+
     @pytest.mark.parametrize("n, m", [(1, 1), (7, 3), (96, 24), (1000, 40)])
     def test_rows_and_directions_equal_roll_reference(self, n, m):
         Z = make_partial_circulant(m, n, rng(n))
@@ -394,9 +451,14 @@ class TestRequiredRows:
     def test_errors(self):
         with pytest.raises(ConfigurationError):
             required_rows(50, 10)
-        for b1 in (0.0, float("nan"), float("inf")):
+        for b1 in (0.0, float("nan"), float("inf"), True, "2", None):
             with pytest.raises(ConfigurationError):
                 required_rows(5, 10, b1=b1)
+        # sizes that are not integers: 2.5 would give ceil(2 * 2.5 * ln 100) = 24 rows
+        for s, n in [(2.5, 100), (5, 100.0), (True, 100), (5, "100"), (None, 100)]:
+            with pytest.raises(ConfigurationError):
+                required_rows(s, n)
+        assert required_rows(np.int64(5), np.int32(100)) == required_rows(5, 100)
 
 
 def test_rip_spot_check():

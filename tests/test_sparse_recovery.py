@@ -418,7 +418,10 @@ class TestCosamp:
         # entries zero in exact arithmetic, where rounding leaves them at
         # exactly 0 or at 1e-16 by chance.
         assume(Z.top_adjoint(y, 2 * s).size == n)
-        fitted = Z.columns(keep)[0] @ w[keep]
+        # the residual exactly as cosamp forms it, from a column selection of
+        # the full fit's A: BLAS rounds the product differently on a fresh
+        # gather of those columns, whose memory order differs
+        fitted = A[:, keep] @ w[keep]
         r = y - (fitted - fitted.mean())
         if max_fits > 1 and np.linalg.norm(r) > 1e-12 * np.linalg.norm(y):
             assume(np.union1d(keep, Z.top_adjoint(r, 2 * s)).size == n)
@@ -518,13 +521,13 @@ class TestFixedPointExit:
     def test_stops_at_a_repeated_iterate(self, monkeypatch):
         # four fits, each lowering the residual by more than 1 %; the fifth
         # iteration refits the fourth's support, and the stall rule stops there
-        # (seed 71 is an instance on which the centred solve does this)
+        # (seed 108 is an instance on which the centred solve does this)
         gathers, real = [], sparse_recovery.restricted_lsq
         monkeypatch.setattr(
             sparse_recovery, "restricted_lsq", lambda A, y, **kw: gathers.append(A.copy()) or real(A, y, **kw)
         )
-        Z, g, _ = planted_instance(200, 6, 60, seed=71)
-        y = Z.apply(g) + 0.05 * rng(72).standard_normal(60)
+        Z, g, _ = planted_instance(200, 6, 60, seed=108)
+        y = Z.apply(g) + 0.05 * rng(109).standard_normal(60)
         calls, ref_calls = [], []
         est = cosamp(Z, y, 6, on_iterate=recorder(calls))
         cosamp_solving_every_iteration(Z, y, 6, sparse_recovery._MAX_FITS, on_iterate=recorder(ref_calls))
