@@ -161,7 +161,7 @@ def test_max_s_sum_eval_block_propagates_nan():
 @pytest.mark.parametrize("d", [7, 300, 20000])
 def test_max_s_sum_eval_equals_full_sort_bit_for_bit(d):
     # the top s of |x| from one full sort, at every density: all zero, fewer
-    # than s nonzeros, around the one-in-eight switch, and dense
+    # than s nonzeros, sparse, half dense and dense
     s = max(1, d // 100)
     f = MaxSSumSquared(d, s)
     gen = rng(13)
