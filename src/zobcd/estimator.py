@@ -2,7 +2,8 @@
 
 One call issues exactly m + 1 oracle queries: a base evaluation at x, then
 one ``Oracle.eval_block`` call for the m forward differences along the
-sample directions. CoSaMP then recovers the s-sparse block gradient: every
+sample directions z_i, the +-1 rows of Z as stored. CoSaMP then recovers
+the s-sparse block gradient from y_i = (f(x + delta z_i) - f(x)) / delta: every
 difference shares the base query's noise and, along +-1 directions, the
 diagonal second-order term delta^2 tr(H_jj) / 2, so it fits that shared
 offset alongside the gradient and discards it (see README).
@@ -41,7 +42,6 @@ def estimate_block_gradient(
         raise ConfigurationError(f"query radius must be finite and > 0, got {delta}")
     if not 1 <= s <= Z.n:
         raise ConfigurationError(f"need 1 <= s <= n for the block sparsity, got s={s}, n={Z.n}")
-    scale = 1.0 / (math.sqrt(Z.m) * delta)
 
     base = oracle.eval(x)
     if not math.isfinite(base):
@@ -51,7 +51,7 @@ def estimate_block_gradient(
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NumericalFailure(f"oracle returned non-finite value at direction {bad[0]}")
-    y = (values - base) * scale
+    y = (values - base) / delta
 
     return cosamp(Z, y, s), base
 

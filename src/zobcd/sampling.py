@@ -1,23 +1,24 @@
 """Measurement operators: dense Rademacher rows and partial circulant ensembles.
 
-Both implement ``MeasurementOperator``. Stored data is exactly +-1; the
-1/sqrt(m) factor is applied lazily at apply/adjoint/columns time, and never
-by row/directions, which give the raw sample directions. Every method
-returns float64 arrays.
+Both implement ``MeasurementOperator``. Stored data is exactly +-1, and
+every product is one of these signs as stored. The paper divides both the
+matrix and the measurements by the square root of m; that common factor
+changes no least-squares fit, no proxy ranking and no CoSaMP exit, so
+nothing applies it. Every method returns float64 arrays.
 
 The dense signs are stored as float32, in which +-1 is exact; a product
 converts them to float64 first, so it rounds as a float64 product would.
-``make_rademacher`` draws them one random bit a sign (``draw_signs``), in
-the order of that store and in small chunks written straight into it, so
-the build holds no full-size temporary. SPSA draws its directions the same
-way; the circulant generator z keeps numpy's one-byte ``integers`` draw.
-CoSaMP's proxy only ranks columns (``top_adjoint``), and the dense ensemble
-ranks it from the float32 product, which reads half the bytes.
+``draw_signs`` draws every sign of both ensembles, and of SPSA's
+directions, one random bit a sign. ``make_rademacher`` draws them in the
+order of its store and in small chunks written straight into it, so the
+build holds no full-size temporary. CoSaMP's proxy only ranks columns
+(``top_adjoint``), and the dense ensemble ranks it from the float32
+product, which reads half the bytes.
 
 ``columns`` gives a CoSaMP fit everything it takes from the ensemble, from
-one gather: the scaled columns, and the Gram matrix and column sums of their
-unscaled +-1 signs. The latter two have integer entries, so both are exact;
-the dense ensemble computes them in float32, which is exact while m < 2**24.
+one gather: the signs, and their Gram matrix and column sums. These have
+integer entries, so both are exact; the dense ensemble computes them in
+float32, which is exact while m < 2**24.
 """
 
 from __future__ import annotations
@@ -39,18 +40,18 @@ _FLOAT32_EXACT = 2**24
 class MeasurementOperator(Protocol):
     """An m x n ensemble, as the library calls it.
 
-    Both ensembles also have ``apply`` and ``adjoint``, the scaled forward
-    and transpose products, which tests use as references; nothing calls
-    them through this protocol.
+    Both ensembles also have ``apply`` and ``adjoint``, the forward and
+    transpose products, which tests use as references; nothing calls them
+    through this protocol.
     """
 
     m: int
     n: int
 
-    def row(self, i: int) -> np.ndarray: ...  # unscaled +-1 sample direction
-    def directions(self, cols: np.ndarray) -> np.ndarray: ...  # unscaled m x |cols| gather
+    def row(self, i: int) -> np.ndarray: ...  # the +-1 sample direction i
+    def directions(self, cols: np.ndarray) -> np.ndarray: ...  # the m x |cols| gather of the signs
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray: ...  # top k of adjoint(y), for ranking only
-    # the scaled gather S / sqrt(m) of the signs S = directions(idx), and the exact S^T S and S^T 1
+    # the signs S = directions(idx), and the exact S^T S and S^T 1
     def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
 
@@ -78,7 +79,7 @@ def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
 
 
 class RademacherEnsemble:
-    """m x n matrix of i.i.d. +-1 entries, scaled by 1/sqrt(m) on application.
+    """m x n matrix of i.i.d. +-1 entries.
 
     Stored column-major in float32: ``cols`` is the n x m array whose row c
     is column c of the matrix, so a column gather reads contiguous memory.
@@ -96,17 +97,16 @@ class RademacherEnsemble:
             cols = np.ascontiguousarray(cols)
         self.cols = cols
         self.n, self.m = cols.shape
-        self._scale = 1.0 / math.sqrt(self.m)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of dim {self.n}, got {v.shape}")
-        return (self.cols.T.astype(np.float64) @ v) * self._scale
+        return self.cols.T.astype(np.float64) @ v
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if y.shape != (self.m,):
             raise ValueError(f"expected vector of dim {self.m}, got {y.shape}")
-        return (self.cols.astype(np.float64) @ y) * self._scale
+        return self.cols.astype(np.float64) @ y
 
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray:
         """The top k of the proxy, ranked from the float32 product.
@@ -134,15 +134,15 @@ class RademacherEnsemble:
         return self.cols[cols].astype(np.float64).T
 
     def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # One gather. A is scaled as it is converted, and is the F-ordered
-        # directions(idx) * scale. G and c are integer sums of +-1 products,
-        # |G| <= m: exact in float32 below 2**24, whatever order BLAS sums
-        # in, and 0.6-0.7 of the time of float64. The column sums are a gemv
-        # too, a fraction of S.sum's time.
+        # One gather, and A is its F-ordered float64 copy, directions(idx).
+        # G and c are integer sums of +-1 products, |G| <= m: exact in
+        # float32 below 2**24, whatever order BLAS sums in, and 0.6-0.7 of
+        # the time of float64. The column sums are a gemv too, a fraction of
+        # S.sum's time.
         S = self.cols[idx]
-        A = np.multiply(S, self._scale, dtype=np.float64).T
+        A = S.astype(np.float64).T
         if self.m >= _FLOAT32_EXACT:
-            S = S.astype(np.float64)
+            S = A.T
         return A, (S @ S.T).astype(np.float64), (S @ np.ones(self.m, S.dtype)).astype(np.float64)
 
 
@@ -169,7 +169,6 @@ class PartialCirculantEnsemble:
         self.omega = np.sort(omega)
         self.m = omega.size
         self.n = n
-        self._scale = 1.0 / math.sqrt(self.m)
         self._zf = np.fft.rfft(z)
 
     def _correlate(self, v: np.ndarray) -> np.ndarray:
@@ -179,14 +178,14 @@ class PartialCirculantEnsemble:
     def apply(self, v: np.ndarray) -> np.ndarray:
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of dim {self.n}, got {v.shape}")
-        return self._correlate(v)[self.omega] * self._scale
+        return self._correlate(v)[self.omega]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         if y.shape != (self.m,):
             raise ValueError(f"expected vector of dim {self.m}, got {y.shape}")
         u = np.zeros(self.n)
         u[self.omega] = y
-        return self._correlate(u) * self._scale
+        return self._correlate(u)
 
     def top_adjoint(self, y: np.ndarray, k: int) -> np.ndarray:
         # A non-finite y is rejected before its FFT, which would spread it
@@ -208,7 +207,7 @@ class PartialCirculantEnsemble:
 
     def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         S = self.directions(idx)
-        return S * self._scale, S.T @ S, S.sum(axis=0)
+        return S, S.T @ S, S.sum(axis=0)
 
     def with_new_omega(self, rng: np.random.Generator) -> "PartialCirculantEnsemble":
         """Fresh row subset over the same generator (used on block reshuffles).
@@ -266,6 +265,8 @@ def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsem
 
 
 def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialCirculantEnsemble:
+    """Partial circulant ensemble of generator ``z = draw_signs(np.empty(n), rng)``
+    and m distinct rows that ``rng`` chooses next."""
     check_number("m", m, integral=True)
     check_number("n", n, integral=True)
     if m <= 0 or n <= 0:

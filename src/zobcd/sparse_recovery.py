@@ -15,7 +15,6 @@ P = I - 1 1^T / m, and never forms P Z (see ``restricted_lsq``).
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 from zobcd.core import ConfigurationError, NumericalFailure
 from zobcd.sampling import MeasurementOperator, top_k_magnitude
 
-# A Cholesky pivot of the Gram matrix below this fraction of the largest
+# A Cholesky pivot of the normal matrix below this fraction of the largest
 # squared column norm marks the gathered columns as numerically dependent.
 # The normal equations then have many solutions, and restricted_lsq takes
 # lstsq's minimum-norm one. The norms are those of the uncentred columns:
@@ -79,17 +78,17 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.n
     it, on the centred columns P A, P = I - 1 1^T / m, of the gathered A.
 
     It never forms P A for the normal equations: their matrix is
-    A^T A - c c^T / m with c = A^T 1, and (P A)^T y = A^T y. It solves them
-    once, after a Cholesky factorization has found them positive definite.
+    (m G - c c^T) / m with G = A^T A and c = A^T 1, and (P A)^T y = A^T y.
+    It solves them once, after a Cholesky factorization has found them
+    positive definite, with no pivot below ``_MIN_PIVOT_RATIO`` max(diag G).
     With more columns than rows, or numerically dependent columns, it returns
     ``lstsq``'s minimum-norm solution on P A instead.
 
-    ``gram``, when given, is the pair (G, c) = (S^T S, S^T 1) of the +-1
-    signs S with A = S / sqrt(m), as ``MeasurementOperator.columns`` returns
-    it with A. The normal matrix is then formed from these exact integers
-    instead of from A, as (m G - c c^T) scale^2 / m, scale = 1 / sqrt(m), whose
-    integer numerator is exact in float64, so only the final scaling rounds.
-    Without it the normal matrix is formed in float64 from A.
+    ``gram``, when given, is (G, c), as ``MeasurementOperator.columns``
+    returns it with the signs A; otherwise both are formed from A. On +-1
+    columns both are integers, exact in float64, so the two give the same
+    fit bit for bit, and the numerator m G - c c^T is exact while m < 2**26:
+    only the division by m rounds.
     """
     m, k = A.shape
     if k == 0:
@@ -97,10 +96,16 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.n
     if k > m:
         warnings.warn(f"restricted least squares with |support|={k} > m={m} is underdetermined", stacklevel=2)
     else:
-        normal, ref = _normal_matrix(A, gram)
+        if gram is None:
+            # the column sums by a gemv: half the time of A.sum(axis=0)
+            gram = A.T @ A, A.T @ np.ones(m)
+        G, c = gram
+        normal = m * G
+        normal -= np.outer(c, c)
+        normal /= m
         try:
             pivots = np.diagonal(np.linalg.cholesky(normal)) ** 2
-            if pivots.min() >= _MIN_PIVOT_RATIO * ref:
+            if pivots.min() >= _MIN_PIVOT_RATIO * G.diagonal().max():
                 return np.linalg.solve(normal, A.T @ y)
         except np.linalg.LinAlgError:  # not numerically positive definite
             pass
@@ -109,25 +114,6 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.n
     A = A - A[0]
     A -= A.mean(axis=0)
     return np.linalg.lstsq(A, y, rcond=None)[0]
-
-
-def _normal_matrix(A: np.ndarray, gram) -> tuple[np.ndarray, float]:
-    """``restricted_lsq``'s centred normal matrix, and the largest squared
-    column norm of A, which its Cholesky pivots are judged against."""
-    m = A.shape[0]
-    if gram is None:
-        normal = A.T @ A
-        ref = normal.diagonal().max()
-        c = A.T @ np.ones(m)  # the column sums, by a gemv: half the time of A.sum(axis=0)
-        normal -= np.outer(c, c / m)
-        return normal, ref
-    G, c = gram
-    scale2 = (1.0 / math.sqrt(m)) ** 2  # the square of the ensembles' column scale
-    # Integers of magnitude at most m**2, exact in float64 while m < 2**26.
-    normal = m * G
-    normal -= np.outer(c, c)
-    normal *= scale2 / m
-    return normal, m * scale2  # every +-1 column has squared norm m * scale2
 
 
 def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> SparseVector:

@@ -63,9 +63,9 @@ def test_02_circulant_matches_dense_and_scales_subquadratically():
             n = int(rng.integers(2, 513))
             m = int(rng.integers(1, n + 1))
             op = make_partial_circulant(m, n, rng)
-            # row(i) is the raw +-1 direction; apply/adjoint carry the 1/sqrt(m)
-            # measurement normalization.
-            dense = np.stack([op.row(i) for i in range(m)]) / math.sqrt(m)
+            # row(i) is the +-1 direction, and apply/adjoint are products of
+            # these signs as they are
+            dense = np.stack([op.row(i) for i in range(m)])
             v = rng.standard_normal(n)
             u = rng.standard_normal(m)
             ref, got = dense @ v, op.apply(v)

@@ -214,7 +214,7 @@ class TestMeasurementScaling:
             for i in range(m):
                 xp = x.copy()
                 xp[block0] += delta * Z.row(i)
-                y[i] = (q.eval(xp) - q.eval(x)) / (np.sqrt(m) * delta)
+                y[i] = (q.eval(xp) - q.eval(x)) / delta
             errors.append(np.linalg.norm(y - Z.apply(g_block)))
         slope = np.polyfit(np.log(deltas), np.log(errors), 1)[0]
         assert 0.9 <= slope <= 1.1

@@ -1,4 +1,3 @@
-import math
 import tracemalloc
 import warnings
 
@@ -24,7 +23,7 @@ def rng(seed=0):
 
 def dense_matrix(Z):
     """Row-by-row dense oracle built from the row() accessor."""
-    return np.array([Z.row(i) for i in range(Z.m)]) / np.sqrt(Z.m)
+    return np.array([Z.row(i) for i in range(Z.m)])
 
 
 class TestRademacher:
@@ -41,7 +40,7 @@ class TestRademacher:
         e1 = np.zeros(8)
         e1[0] = 1.0
         out = Z.apply(e1)
-        assert np.all(np.isin(out, (-0.5, 0.5)))
+        assert np.all(np.isin(out, (-1.0, 1.0)))
 
     def test_column_mean_concentration(self):
         Z = make_rademacher(1000, 100, rng(1))
@@ -177,12 +176,12 @@ class TestColumnMajorRademacher:
             for out in (Z.directions(idx), A):
                 assert out.dtype == np.float64 and out.flags.f_contiguous
             assert np.array_equal(Z.directions(idx), rows[:, idx])
-            assert np.array_equal(A, rows[:, idx] * (1.0 / math.sqrt(Z.m)))
+            assert np.array_equal(A, rows[:, idx])
             # the same memory order too: BLAS products on it round the same way
             assert A.strides == (rows[:, idx] * 1.0).strides
-            # scaled in one gathered array, bit for bit the scaled directions
+            # converted in one gathered array, bit for bit the directions
             assert not np.shares_memory(A, Z.cols)
-            assert A.tobytes(order="F") == (Z.directions(idx) * (1.0 / math.sqrt(Z.m))).tobytes(order="F")
+            assert A.tobytes(order="F") == Z.directions(idx).tobytes(order="F")
         assert Z.directions(np.empty(0, dtype=np.intp)).shape == (Z.m, 0)
         for i in range(Z.m):
             assert Z.row(i).dtype == np.float64 and np.array_equal(Z.row(i), rows[i])
@@ -192,7 +191,7 @@ class TestColumnMajorRademacher:
         Z = make_rademacher(60, 150, rng(5))
         if truncate:
             Z = RademacherEnsemble(cols=Z.cols[:110, :45])
-        rows = np.ascontiguousarray(Z.cols.T, dtype=np.float64) / np.sqrt(Z.m)
+        rows = np.ascontiguousarray(Z.cols.T, dtype=np.float64)
         gen = rng(6)
         for _ in range(20):
             v, y = gen.standard_normal(Z.n), gen.standard_normal(Z.m)
@@ -263,16 +262,16 @@ class TestScreenedTopAdjoint:
     @given(dense_case())
     def test_agrees_with_the_float64_pick_outside_near_ties(self, case):
         # Every entry of the float32 product is within gamma_{m+2} ||y||_1 of
-        # the exact one, scaling included; the float64 proxy is far closer.
+        # the exact one; the float64 proxy is far closer.
         # A float64 gap at the cut wider than twice that keeps the pick.
         Z, y, k = case
         proxy = Z.adjoint(y)
         # the reference: the product on float64 signs
-        assert proxy.tobytes() == ((Z.cols.astype(np.float64) @ y) * (1 / math.sqrt(Z.m))).tobytes()
+        assert proxy.tobytes() == (Z.cols.astype(np.float64) @ y).tobytes()
         ranked = np.append(np.sort(np.abs(proxy))[::-1], 0.0)
         cut = min(k, Z.n)
         u = 2.0**-24
-        bound = (Z.m + 2) * u / (1 - (Z.m + 2) * u) * np.abs(y).sum() / math.sqrt(Z.m)
+        bound = (Z.m + 2) * u / (1 - (Z.m + 2) * u) * np.abs(y).sum()
         assume(ranked[cut - 1] - ranked[cut] > 2 * bound)
         assert Z.top_adjoint(y, k).tobytes() == top_k_magnitude(proxy, k).tobytes()
 
@@ -318,7 +317,7 @@ class TestPartialCirculant:
     def test_apply_matches_hand_product(self):
         Z = PartialCirculantEnsemble(np.array([1.0, 2.0, 3.0]), np.array([0, 1, 2]))
         v = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_allclose(Z.apply(v), np.array([1, 2, 3]) / np.sqrt(3))
+        np.testing.assert_allclose(Z.apply(v), np.array([1, 2, 3]))
 
     def test_full_row_set_equals_circulant_product(self):
         n = 16
@@ -462,7 +461,7 @@ class TestRequiredRows:
 
 
 def test_rip_spot_check():
-    # statistical near-isometry on 4s-sparse unit vectors
+    # statistical near-isometry of Z / sqrt(m) on 4s-sparse unit vectors
     n, s, m = 1024, 8, 512
     Z = make_partial_circulant(m, n, rng(99))
     gen = rng(100)
@@ -472,6 +471,6 @@ def test_rip_spot_check():
         support = gen.choice(n, size=4 * s, replace=False)
         v[support] = gen.standard_normal(4 * s)
         v /= np.linalg.norm(v)
-        if abs(np.linalg.norm(Z.apply(v)) ** 2 - 1.0) <= 0.3843:
+        if abs(np.linalg.norm(Z.apply(v)) ** 2 / m - 1.0) <= 0.3843:
             hits += 1
     assert hits >= 198

@@ -142,9 +142,9 @@ class TestRestrictedLsq:
         y -= y.mean()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the underdetermined case warns
-            w = restricted_lsq(cols / np.sqrt(m), y)
+            w = restricted_lsq(cols, y)
         # centred on the integer signs, where a constant column centres to 0
-        P = (cols - cols.mean(axis=0)) / np.sqrt(m)
+        P = cols - cols.mean(axis=0)
         expected = np.linalg.lstsq(P, y, rcond=None)[0]
         np.testing.assert_allclose(w, expected, rtol=0, atol=1e-9)
 
@@ -157,7 +157,7 @@ class TestRestrictedLsq:
             y -= y.mean()
             other = rng(m + 100).choice([-1.0, 1.0], size=m)
             for cols in (np.ones((m, 1)), -np.ones((m, 1)), np.column_stack((np.ones(m), other))):
-                w = restricted_lsq(cols / np.sqrt(m), y)
+                w = restricted_lsq(cols, y)
                 assert abs(w[0]) <= 1e-12, (m, w)
 
 
@@ -195,40 +195,56 @@ class TestExactGram:
     @settings(max_examples=300, deadline=None)
     @given(signed_gathers())
     def test_gram_is_the_integer_gram_of_the_signs(self, gather):
-        # One gather gives the fit all three: A, bit for bit and in the
-        # memory order of the scaled signs, and their exact integer Gram
+        # One gather gives the fit all three: A, the signs bit for bit and in
+        # the memory order of directions, and their exact integer Gram
         Z, idx = gather
         S = Z.directions(idx)
         assert np.all(np.abs(S) == 1.0)
         A, G, c = Z.columns(idx)
-        scaled = S * (1.0 / np.sqrt(Z.m))
         assert A.dtype == np.float64
-        assert (A.flags.c_contiguous, A.flags.f_contiguous) == (scaled.flags.c_contiguous, scaled.flags.f_contiguous)
-        assert A.tobytes(order="A") == scaled.tobytes(order="A")
+        assert (A.flags.c_contiguous, A.flags.f_contiguous) == (S.flags.c_contiguous, S.flags.f_contiguous)
+        assert A.tobytes(order="A") == S.tobytes(order="A")
         S = S.astype(np.int64)
         assert G.dtype == c.dtype == np.float64
         assert np.array_equal(G, S.T @ S) and np.array_equal(c, S.sum(axis=0))
 
     @settings(max_examples=300, deadline=None)
     @given(signed_gathers())
-    def test_centred_numerator_is_exact(self, gather):
-        # only the final scaling rounds: the normal matrix is the exact
-        # integer m G - c c^T times one float64 factor
+    def test_centred_normal_matrix_is_exact(self, gather):
+        # only the division by m rounds: the normal matrix is the exact
+        # integer m G - c c^T, divided by m
         Z, idx = gather
         S = Z.directions(idx).astype(np.int64)
+        assume(idx.size <= Z.m)  # an underdetermined fit goes straight to lstsq
         numerator = Z.m * (S.T @ S) - np.outer(S.sum(axis=0), S.sum(axis=0))
         A, G, c = Z.columns(idx)
-        normal, ref = sparse_recovery._normal_matrix(A, (G, c))
-        scale2 = (1.0 / np.sqrt(Z.m)) ** 2
-        assert normal.tobytes() == (numerator.astype(np.float64) * (scale2 / Z.m)).tobytes()
-        assert ref == Z.m * scale2
+        factored, cholesky = [], np.linalg.cholesky
+        with patch.object(np.linalg, "cholesky", lambda a: factored.append(a.copy()) or cholesky(a)):
+            restricted_lsq(A, np.zeros(Z.m), gram=(G, c))
+        assert len(factored) == 1
+        assert factored[0].tobytes() == (numerator.astype(np.float64) / Z.m).tobytes()
+
+    @pytest.mark.parametrize("eps, solved", [(0.5, False), (0.6, True)])
+    def test_pivots_are_judged_against_the_largest_column_norm(self, eps, solved, monkeypatch):
+        # Orthogonal centred columns of squared norms 2e6 and eps^2 * 2/3:
+        # the second pivot is eps^2 * 2/3 against 1e-7 * max(diag G) = 0.2,
+        # below it at eps = 0.5 (lstsq) and above it at eps = 0.6 (a solve)
+        A = np.array([[1000.0, 0.0], [-1000.0, 0.0], [0.0, eps]])
+        y = np.array([1.0, -2.0, 1.0])
+        fallbacks, lstsq = [], np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: fallbacks.append(1) or lstsq(*a, **kw))
+        for gram in (None, (A.T @ A, A.sum(axis=0))):
+            fallbacks.clear()
+            w = restricted_lsq(A, y, gram=gram)
+            assert fallbacks == ([] if solved else [1])
+            np.testing.assert_allclose(w, [1.5e-3, 1.5 / eps], rtol=1e-9)
 
     @settings(max_examples=300, deadline=None)
     @given(signed_gathers(), st.integers(0, 2**32 - 1))
-    def test_fit_matches_the_plain_float_path(self, gather, seed):
-        # Full rank: the fits agree to 1e-12 relative. Dependent columns,
-        # repeated, negated or constant, or more columns than rows: both take
-        # the same lstsq fallback, bit for bit.
+    def test_fit_equals_the_plain_float_path_bit_for_bit(self, gather, seed):
+        # The ensemble's exact Gram and the one formed from A are the same
+        # integers, so the two fits agree bit for bit: full rank or not, and
+        # with more columns than rows, where both take lstsq
         Z, idx = gather
         A, G, c = Z.columns(idx)
         y = np.random.default_rng(seed).standard_normal(Z.m)
@@ -237,12 +253,7 @@ class TestExactGram:
             warnings.simplefilter("ignore")  # the underdetermined case warns
             exact = restricted_lsq(A, y, gram=(G, c))
             plain = restricted_lsq(A, y)
-        S = Z.directions(idx)
-        rank = np.linalg.matrix_rank(np.column_stack((S, np.ones(Z.m)))) - 1  # of the centred columns
-        if rank < idx.size:
-            assert exact.tobytes() == plain.tobytes()
-        else:
-            assert np.linalg.norm(exact - plain) <= 1e-12 * np.linalg.norm(plain)
+        assert exact.tobytes() == plain.tobytes()
 
 
 class TestCosamp:
@@ -262,7 +273,7 @@ class TestCosamp:
         for name in ("columns", "directions"):
             real = getattr(cls, name)
             monkeypatch.setattr(cls, name, lambda self, idx, real=real, name=name: seen.append(name) or real(self, idx))
-        y = Z.apply(g) + 0.05 * rng(72).standard_normal(60)
+        y = Z.apply(g) + 0.05 * np.sqrt(60) * rng(72).standard_normal(60)
         calls = []
         cosamp(Z, y, 6, on_iterate=recorder(calls))
         gathers = ["columns", "directions"] if make is make_partial_circulant else ["columns"]
@@ -307,7 +318,7 @@ class TestCosamp:
         for seed in range(100):
             Z, g, _ = planted_instance(n, s, m, seed, unit=True)
             e = noise_gen.standard_normal(m)
-            e *= 0.01 / np.linalg.norm(e)
+            e *= 0.01 * np.sqrt(m) / np.linalg.norm(e)
             est = cosamp(Z, Z.apply(g) + e, s)
             if np.linalg.norm(est.to_dense() - g) <= 20 * 0.01:
                 successes += 1
@@ -316,7 +327,7 @@ class TestCosamp:
     def test_output_sparsity_budget(self):
         for seed in range(20):
             Z, g, _ = planted_instance(128, 7, 60, seed)
-            est = cosamp(Z, Z.apply(g) + 0.05 * rng(seed + 1000).standard_normal(60), 7)
+            est = cosamp(Z, Z.apply(g) + 0.05 * np.sqrt(60) * rng(seed + 1000).standard_normal(60), 7)
             assert est.nnz <= 7
 
     def test_circulant_operator_recovery(self):
@@ -403,7 +414,7 @@ class TestCosamp:
         Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
         g = np.zeros(n)
         g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
-        y = Z.apply(g) + noise * gen.standard_normal(m)
+        y = Z.apply(g) + noise * np.sqrt(m) * gen.standard_normal(m)
         calls = []
         with patch.object(sparse_recovery, "_MAX_FITS", max_fits), warnings.catch_warnings():
             warnings.simplefilter("ignore")  # underdetermined fits when m <= n
@@ -496,7 +507,7 @@ def noisy_instance(seed, n, s, rows, noise, max_fits, circulant):
     Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
     g = np.zeros(n)
     g[gen.choice(n, size=s, replace=False)] = gen.standard_normal(s)
-    y = Z.apply(g) + noise * gen.standard_normal(m)
+    y = Z.apply(g) + noise * np.sqrt(m) * gen.standard_normal(m)
     return Z, y, s, max_fits
 
 
@@ -527,7 +538,7 @@ class TestFixedPointExit:
             sparse_recovery, "restricted_lsq", lambda A, y, **kw: gathers.append(A.copy()) or real(A, y, **kw)
         )
         Z, g, _ = planted_instance(200, 6, 60, seed=108)
-        y = Z.apply(g) + 0.05 * rng(109).standard_normal(60)
+        y = Z.apply(g) + 0.05 * np.sqrt(60) * rng(109).standard_normal(60)
         calls, ref_calls = [], []
         est = cosamp(Z, y, 6, on_iterate=recorder(calls))
         cosamp_solving_every_iteration(Z, y, 6, sparse_recovery._MAX_FITS, on_iterate=recorder(ref_calls))
