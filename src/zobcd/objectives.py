@@ -115,7 +115,9 @@ class MaxSSumSquared:
         # magnitude is below t is outside the top s of every probe, so only
         # the remaining candidates, s and a few more, are sorted per row. The
         # comparisons are written as ~(a < t), so that NaN stays a candidate
-        # and propagates as it does in eval.
+        # and propagates as it does in eval. A zero outside the block is no
+        # candidate either: when t = 0 the rows are padded with zeros to s
+        # columns instead, as eval pads its nonzeros.
         a = np.abs(x)
         up, down = np.abs(x[idx] + delta), np.abs(x[idx] - delta)
         lower = a.copy()
@@ -123,11 +125,13 @@ class MaxSSumSquared:
         t = np.partition(lower, self.d - self.s)[self.d - self.s]
         outside = np.ones(self.d, dtype=bool)
         outside[idx] = False
-        fixed = a[outside & ~(a < t)]
+        fixed = a[outside & ~(a < t) & (a != 0)]
         cols = np.flatnonzero(~(np.maximum(up, down) < t))
-        mags = np.empty((Z.m, fixed.size + cols.size))
+        end = fixed.size + cols.size
+        mags = np.empty((Z.m, max(end, self.s)))
         mags[:, : fixed.size] = fixed
-        probes = mags[:, fixed.size :]  # |x_c + delta * z_ic|, formed in place, beside the one gather
+        mags[:, end:] = 0.0
+        probes = mags[:, fixed.size : end]  # |x_c + delta * z_ic|, formed in place, beside the one gather
         np.multiply(Z.directions(cols), delta, out=probes)
         probes += x[idx[cols]]
         np.abs(probes, out=probes)

@@ -154,7 +154,7 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
     return RunResult(x_final=x, trace=trace, termination=termination)
 
 
-def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_block: int, omega_rng):
+def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_block: int):
     """One measurement operator per distinct block size (equal blocks share one)."""
     dir_rng = streams.substream("directions")
     sizes = sorted(set(int(b) for b in p.block_sizes), reverse=True)
@@ -164,9 +164,8 @@ def _make_ensembles(cfg: ZobcdConfig, p: BlockPartition, streams: RngStreams, s_
         raise ConfigurationError(f"block sparsity {s_block} exceeds the smallest block size {sizes[-1]}")
     rows = {n: cfg.m_override or required_rows(s_block, n, cfg.b1) for n in sizes}
     n_max = sizes[0]
-    if cfg.variant == "RC":
-        # z from the directions stream, omega from the omega stream; the omega drawn on dir_rng is discarded
-        return {n_max: make_partial_circulant(rows[n_max], n_max, dir_rng).with_new_omega(omega_rng)}
+    if cfg.variant == "RC":  # the omega stream draws only the rows of later reshuffles
+        return {n_max: make_partial_circulant(rows[n_max], n_max, dir_rng)}
     # Dense Rademacher: draw one master block of directions at the largest
     # block size; smaller blocks use row- and column-truncated views of it
     # (prefixes of Rademacher rows are Rademacher), cols[:n, :m] in its
@@ -193,7 +192,7 @@ def run_zobcd(oracle: Oracle, x0: np.ndarray, cfg: ZobcdConfig, report_f=None) -
     # 55.00000000000001, and its ceiling would be 56, not 55.
     s_block = max(1, math.ceil(Fraction(repr(float(cfg.block_sparsity_factor))) * cfg.s / cfg.J))
     omega_rng = streams.substream("omega")
-    ensembles = _make_ensembles(cfg, p, streams, s_block, omega_rng)
+    ensembles = _make_ensembles(cfg, p, streams, s_block)
 
     def iterate(x, k, remaining):
         nonlocal p, ensembles

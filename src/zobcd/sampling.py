@@ -273,7 +273,7 @@ def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialC
         raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
     if m > n:
         raise ConfigurationError(f"circulant row count m={m} cannot exceed n={n}")
-    z = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.float64)
+    z = draw_signs(np.empty(n), rng)
     omega = rng.choice(n, size=m, replace=False)
     return PartialCirculantEnsemble(z, omega)
 

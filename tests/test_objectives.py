@@ -113,7 +113,6 @@ class TestMaxSSumSquared:
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_eval_block_equals_eval_bit_for_bit(data):
-    # each batched probe value is eval at x + delta * lift(Z.row(i)), exactly
     d = data.draw(st.integers(1, 400), label="d")
     s = data.draw(st.one_of(st.just(d), st.integers(1, d)), label="s")
     n = data.draw(st.integers(1, d), label="block size")
@@ -136,12 +135,27 @@ def test_eval_block_equals_eval_bit_for_bit(data):
         x = gen.standard_normal(d)
     q = SparseQuadric(d, gen.choice(d, size=s, replace=False), gen.uniform(0.5, 2.0, size=s))
     for f in (q, MaxSSumSquared(d, s)):
-        got = f.eval_block(x, idx, Z, delta)
-        assert got.shape == (m,)
-        for i in range(m):
-            lifted = np.zeros(d)
-            lifted[idx] = Z.row(i)
-            assert got[i] == f.eval(x + delta * lifted)
+        assert_eval_block_equals_eval(f, x, idx, Z, delta)
+
+
+@pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
+def test_eval_block_equals_eval_bit_for_bit_at_zero(circulant):
+    # x = 0 and a 100-column block: fewer than s magnitudes are nonzero, so
+    # the top s of every probe are its 100 nonzeros padded with zeros
+    d, s, n, m = 20000, 200, 100, 100
+    gen = np.random.default_rng(8)
+    Z = make_partial_circulant(m, n, gen) if circulant else make_rademacher(m, n, gen)
+    assert_eval_block_equals_eval(MaxSSumSquared(d, s), np.zeros(d), gen.permutation(d)[:n], Z, 1e-2)
+
+
+def assert_eval_block_equals_eval(f, x, idx, Z, delta):
+    """Each batched probe value is eval at x + delta * lift(Z.row(i)), exactly."""
+    got = f.eval_block(x, idx, Z, delta)
+    assert got.shape == (Z.m,)
+    for i in range(Z.m):
+        lifted = np.zeros(x.size)
+        lifted[idx] = Z.row(i)
+        assert got[i] == f.eval(x + delta * lifted)
 
 
 def test_max_s_sum_eval_block_propagates_nan():

@@ -23,7 +23,7 @@ from zobcd.optimizer import (
     run_zobcd,
     step,
 )
-from zobcd.sampling import required_rows
+from zobcd.sampling import draw_signs, required_rows
 from zobcd.sparse_recovery import SparseVector
 
 
@@ -106,7 +106,7 @@ class TestConfigValidation:
             warnings.simplefilter("error", UserWarning)
             streams = RngStreams(cfg.seed)
             p = random_partition(cfg.d, cfg.J, streams.substream("partition"))
-            ((n, Z),) = _make_ensembles(cfg, p, streams, 53, streams.substream("omega")).items()
+            ((n, Z),) = _make_ensembles(cfg, p, streams, 53).items()
             res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         assert (n, Z.m) == (5000, 903)
         assert list(res.trace.queries()) == [0, 904]
@@ -280,7 +280,7 @@ class TestUnequalBlocks:
                           budget=10**6, b1=self.b1)
         streams = RngStreams(cfg.seed)
         p = random_partition(self.d, self.J, streams.substream("partition"))
-        ens = _make_ensembles(cfg, p, streams, self.s_block, streams.substream("omega"))
+        ens = _make_ensembles(cfg, p, streams, self.s_block)
         assert sorted(ens) == [30, 31]
         master, small = ens[31], ens[30]
         assert (master.m, master.n) == (self.rows(31), 31)
@@ -292,17 +292,19 @@ class TestUnequalBlocks:
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_circulant_draws_z_then_omega_from_their_streams(seed):
-    # z is the first n signs of the directions stream and omega the sorted
-    # first choice draw of the omega stream: the order fixed-seed RC traces pin
+    # z is the first n one-bit signs of the directions stream, and omega the
+    # sorted choice that stream draws next: the order fixed-seed RC traces pin.
+    # The omega stream draws only the rows of later reshuffles.
     d, J, m = 120, 4, 9
     cfg = ZobcdConfig(variant="RC", d=d, J=J, s=4, alpha=1.0, delta=1e-6, budget=10**6,
                       seed=seed, m_override=m)
     streams = RngStreams(seed)
     p = random_partition(d, J, streams.substream("partition"))
-    ((n, Z),) = _make_ensembles(cfg, p, streams, 2, streams.substream("omega")).items()
+    ((n, Z),) = _make_ensembles(cfg, p, streams, 2).items()
     assert (n, Z.m, Z.n) == (30, m, 30)
-    z = streams.substream("directions").integers(0, 2, size=n, dtype=np.int8) * 2.0 - 1.0
-    omega = np.sort(streams.substream("omega").choice(n, size=m, replace=False))
+    directions = streams.substream("directions")
+    z = draw_signs(np.empty(n), directions)
+    omega = np.sort(directions.choice(n, size=m, replace=False))
     assert np.array_equal(Z.z, z)
     assert np.array_equal(Z.omega, omega)
     assert np.array_equal(Z._zf, np.fft.rfft(z))

@@ -342,6 +342,15 @@ class TestPartialCirculant:
         S = np.array([Z.row(i) for i in range(Z.m)])[:, idx].astype(np.int64)  # the +-1 signs
         assert np.array_equal(G, S.T @ S) and np.array_equal(c, S.sum(axis=0))
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (31, 5), (32, 32), (33, 8), (1000, 40)])
+    def test_generator_is_one_bit_a_sign_then_omega(self, n, m):
+        # z takes the first n bits of the stream's uint32 draws, as a
+        # 1 x n dense ensemble would, and omega is the choice drawn next
+        Z = make_partial_circulant(m, n, rng(n))
+        gen = rng(n)
+        assert np.array_equal(Z.z, rademacher_reference(1, n, gen)[0])
+        assert np.array_equal(Z.omega, np.sort(gen.choice(n, size=m, replace=False)))
+
     def test_generator_entries_and_omega(self):
         Z = make_partial_circulant(10, 40, rng(5))
         assert np.all(np.isin(Z.z, (-1.0, 1.0)))
