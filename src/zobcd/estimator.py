@@ -3,10 +3,10 @@
 One call issues exactly m + 1 oracle queries: a base evaluation at x, then
 one ``Oracle.eval_block`` call for the m forward differences along the
 sample directions z_i, the +-1 rows of Z as stored. CoSaMP then recovers
-the s-sparse block gradient from y_i = (f(x + delta z_i) - f(x)) / delta: every
-difference shares the base query's noise and, along +-1 directions, the
-diagonal second-order term delta^2 tr(H_jj) / 2, so it fits that shared
-offset alongside the gradient and discards it (see README).
+the s-sparse block gradient from y_i = (f(x + delta z_i) - f(x)) / delta.
+Every difference shares the base query's noise and, along +-1 directions,
+the diagonal second-order term delta^2 tr(H_jj) / 2, so CoSaMP fits that
+shared offset alongside the gradient and discards it (see README).
 """
 
 from __future__ import annotations
