@@ -159,7 +159,9 @@ class Oracle:
         ``idx`` holds the ambient coordinates of the block, in the column
         order of the m x |idx| operator ``Z``. Row i is query number
         ``query_count + i`` (counted on entry) and equals what ``eval`` at
-        that point would return as that query. ``x`` is not modified.
+        that point would return as that query. ``x`` comes back bit for bit,
+        also when ``f`` raises: a plain ``f`` is probed on the block of x in
+        place, as FDSA and ZO-SCD probe, without an O(d) copy per block.
         """
         if len(idx) != Z.n:
             raise ValueError(f"block of {len(idx)} coordinates for an operator with n={Z.n}")
@@ -168,12 +170,14 @@ class Oracle:
         if self._f_block is not None:
             values = np.asarray(self._f_block(x, idx, Z, delta), dtype=np.float64)
         else:
-            xw = x.copy()
-            save = xw[idx]
+            save = x[idx]
             values = np.empty(Z.m)
-            for i in range(Z.m):
-                xw[idx] = save + delta * Z.row(i)
-                values[i] = self._f(xw)
+            try:
+                for i in range(Z.m):
+                    x[idx] = save + delta * Z.row(i)
+                    values[i] = self._f(x)
+            finally:
+                x[idx] = save
         if self._draw:
             values = values + self._draw(size=Z.m)
         self._eval_nanos += perf_counter_ns() - t0

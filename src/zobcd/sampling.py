@@ -1,24 +1,23 @@
 """Measurement operators: dense Rademacher rows and partial circulant ensembles.
 
-Both implement ``MeasurementOperator``. Stored data is exactly +-1, and
-every product is one of these signs as stored. The paper divides both the
-matrix and the measurements by the square root of m; that common factor
-changes no least-squares fit, no proxy ranking and no CoSaMP exit, so
-nothing applies it. Every method returns float64 arrays.
+Both implement ``MeasurementOperator``, and every product is one of their
++-1 signs as stored. The paper divides both the matrix and the measurements
+by the square root of m; that common factor changes no least-squares fit,
+no proxy ranking and no CoSaMP exit, so nothing applies it.
 
-The dense signs are stored as float32, in which +-1 is exact; a product
-converts them to float64 first, so it rounds as a float64 product would.
+One storage rule serves both: signs are float32, in which +-1 is exact;
+products convert them to float64 first, so they round as float64 products
+would, and every method returns float64 arrays. A fit's Gram has integer
+entries, which float32 sums exactly while m < 2**24. Each ensemble has only
+its own gather, ``_signs``; both share ``directions`` and ``columns``, which
+gives a CoSaMP fit the signs, their Gram and their column sums from one gather.
+
 ``draw_signs`` draws every sign of both ensembles, and of SPSA's
 directions, one random bit a sign. ``make_rademacher`` draws them in the
 order of its store and in small chunks written straight into it, so the
 build holds no full-size temporary. CoSaMP's proxy only ranks columns
-(``top_adjoint``), and the dense ensemble ranks it from the float32
-product, which reads half the bytes.
-
-``columns`` gives a CoSaMP fit everything it takes from the ensemble, from
-one gather: the signs, and their Gram matrix and column sums. These have
-integer entries, so both are exact; the dense ensemble computes them in
-float32, which is exact while m < 2**24.
+(``top_adjoint``): the dense ensemble ranks it from the float32 product,
+which reads half the bytes, and the circulant from the float64 FFT of z.
 """
 
 from __future__ import annotations
@@ -81,10 +80,10 @@ def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
 class RademacherEnsemble:
     """m x n matrix of i.i.d. +-1 entries.
 
-    Stored column-major in float32: ``cols`` is the n x m array whose row c
-    is column c of the matrix, so a column gather reads contiguous memory.
-    The argument is keyword-only, so that a caller passing an m x n array of
-    rows fails instead of getting the transposed ensemble.
+    Float32 +-1 signs, float64 products, an exact float32 Gram. ``cols`` is
+    the n x m array whose row c is column c of the matrix, so a column
+    gather reads contiguous memory; it is keyword-only, so that an m x n
+    array of rows fails instead of giving the transposed ensemble.
     """
 
     def __init__(self, *, cols: np.ndarray):
@@ -126,12 +125,14 @@ class RademacherEnsemble:
     def row(self, i: int) -> np.ndarray:
         return self.cols[:, i].astype(np.float64)
 
+    def _signs(self, cols: np.ndarray) -> np.ndarray:  # the |cols| x m float32 signs
+        return self.cols[cols]
+
     def directions(self, cols: np.ndarray) -> np.ndarray:
-        # A gather of contiguous rows of ``cols``, transposed: an F-ordered
-        # m x |cols| array. Keep that order: BLAS rounds products on C- and
-        # F-ordered copies of one matrix differently, and the fixed-seed
-        # traces depend on it.
-        return self.cols[cols].astype(np.float64).T
+        # The gather transposed: an F-ordered m x |cols| array. Keep that
+        # order: BLAS rounds products on C- and F-ordered copies of one
+        # matrix differently, and the fixed-seed traces depend on it.
+        return self._signs(cols).astype(np.float64).T
 
     def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # One gather, and A is its F-ordered float64 copy, directions(idx).
@@ -139,7 +140,7 @@ class RademacherEnsemble:
         # float32 below 2**24, whatever order BLAS sums in, and 0.6-0.7 of
         # the time of float64. The column sums are a gemv too, a fraction of
         # S.sum's time.
-        S = self.cols[idx]
+        S = self._signs(idx)
         A = S.astype(np.float64).T
         if self.m >= _FLOAT32_EXACT:
             S = A.T
@@ -151,12 +152,13 @@ class PartialCirculantEnsemble:
 
     Row i (0-based) is ``j -> z[(i + j) mod n]``; the stored row index set
     omega selects which circulant rows participate. Storage is O(n + m):
-    z concatenated with itself, so that every row is a contiguous slice of
-    it (``z`` is the view of its first half), its cached FFT, and omega.
+    float32 +-1 z twice over, so that every row is a contiguous slice (``z``
+    is the first half), the float64 FFT of z, and omega. Float64 products and
+    an exact float32 Gram come from the dense ensemble's ``columns``.
     """
 
     def __init__(self, z: np.ndarray, omega: np.ndarray):
-        z = np.asarray(z, dtype=np.float64)
+        z = np.asarray(z, dtype=np.float32)
         omega = np.asarray(omega, dtype=np.intp)
         n = z.shape[0]
         if omega.ndim != 1 or omega.size == 0 or omega.size > n:
@@ -169,7 +171,7 @@ class PartialCirculantEnsemble:
         self.omega = np.sort(omega)
         self.m = omega.size
         self.n = n
-        self._zf = np.fft.rfft(z)
+        self._zf = np.fft.rfft(z.astype(np.float64))
 
     def _correlate(self, v: np.ndarray) -> np.ndarray:
         # c[i] = sum_j z[(i + j) mod n] v[j], for all i in [0, n)
@@ -199,15 +201,12 @@ class PartialCirculantEnsemble:
 
     def row(self, i: int) -> np.ndarray:
         o = int(self.omega[i])
-        return self._zz[o : o + self.n]
+        return self._zz[o : o + self.n].astype(np.float64)  # so delta * row rounds in float64
 
-    def directions(self, cols: np.ndarray) -> np.ndarray:
-        cols = np.asarray(cols, dtype=np.intp)
-        return self._zz[self.omega[:, None] + cols[None, :]]
+    def _signs(self, cols: np.ndarray) -> np.ndarray:  # the |cols| x m float32 signs
+        return self._zz[np.asarray(cols, dtype=np.intp)[:, None] + self.omega]
 
-    def columns(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        S = self.directions(idx)
-        return S, S.T @ S, S.sum(axis=0)
+    directions, columns = RademacherEnsemble.directions, RademacherEnsemble.columns
 
     def with_new_omega(self, rng: np.random.Generator) -> "PartialCirculantEnsemble":
         """Fresh row subset over the same generator (used on block reshuffles).
@@ -265,7 +264,7 @@ def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsem
 
 
 def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialCirculantEnsemble:
-    """Partial circulant ensemble of generator ``z = draw_signs(np.empty(n), rng)``
+    """Partial circulant ensemble of generator ``draw_signs(np.empty(n, np.float32), rng)``
     and m distinct rows that ``rng`` chooses next."""
     check_number("m", m, integral=True)
     check_number("n", n, integral=True)
@@ -273,7 +272,7 @@ def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialC
         raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
     if m > n:
         raise ConfigurationError(f"circulant row count m={m} cannot exceed n={n}")
-    z = draw_signs(np.empty(n), rng)
+    z = draw_signs(np.empty(n, dtype=np.float32), rng)
     omega = rng.choice(n, size=m, replace=False)
     return PartialCirculantEnsemble(z, omega)
 

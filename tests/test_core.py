@@ -172,6 +172,38 @@ class TestEvalBlock:
         assert oracle.query_count == 1 + m
         assert np.array_equal(got, _sequential(f, noise, x, idx, Z, 0.05, skip=1))
 
+    @pytest.mark.parametrize("circulant", [False, True], ids=["R", "RC"])
+    @pytest.mark.parametrize("k", [0, 4, 8])
+    def test_plain_callable_raising_on_row_k_restores_x(self, circulant, k):
+        # the plain callable is probed on x in place: when f raises on row k,
+        # x comes back bit for bit, and the points and values before it are
+        # those of the copy-based reference
+        x, idx, Z = _block_case(8, circulant)
+        x[idx[:3]] = (-0.0, 0.0, 1e-300)
+        x_before = x.tobytes()
+        seen = []
+
+        def f(v):
+            if len(seen) == k:
+                raise RuntimeError("f failed")
+            seen.append(v.copy())
+            return float(np.sin(v).sum())
+
+        oracle = make_noisy_oracle(f, NoiseModel.gaussian(1e-6), RngStreams(3))
+        with pytest.raises(RuntimeError):
+            oracle.eval_block(x, idx, Z, 0.05)
+        assert x.tobytes() == x_before
+        for i, v in enumerate(seen):
+            xw = x.copy()
+            xw[idx] = x[idx] + 0.05 * Z.row(i)
+            assert v.tobytes() == xw.tobytes()
+        seen.clear()
+        k = -1  # f no longer raises: a whole block gives the reference's values
+        got = make_noisy_oracle(f, NoiseModel.gaussian(1e-6), RngStreams(3)).eval_block(x, idx, Z, 0.05)
+        assert x.tobytes() == x_before
+        want = _sequential(lambda v: float(np.sin(v).sum()), NoiseModel.gaussian(1e-6), x, idx, Z, 0.05)
+        assert got.tobytes() == want.tobytes()
+
     def test_plain_callable_with_integer_rows(self):
         # an operator whose row gives integer signs still probes in float
         x, idx, Z = _block_case(2, False)

@@ -13,7 +13,7 @@ from zobcd.sampling import (
     make_rademacher,
     required_rows,
 )
-from zobcd import sparse_recovery
+from zobcd import sampling, sparse_recovery
 from zobcd.sparse_recovery import (
     SparseVector,
     cosamp,
@@ -208,6 +208,35 @@ class TestExactGram:
         assert G.dtype == c.dtype == np.float64
         assert np.array_equal(G, S.T @ S) and np.array_equal(c, S.sum(axis=0))
 
+    @settings(max_examples=200, deadline=None)
+    @given(signed_gathers())
+    def test_float64_gram_branch_equals_the_float32_one(self, gather):
+        # From m = 2**24 rows on, float32 no longer sums the Gram exactly and
+        # columns sums it in float64. With that threshold lowered below m,
+        # both branches give the same A, G and c, bit for bit
+        Z, idx = gather
+        want = Z.columns(idx)
+        with patch.object(sampling, "_FLOAT32_EXACT", 1):
+            got = Z.columns(idx)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64
+            assert (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
+            assert a.tobytes(order="A") == b.tobytes(order="A")
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (33, 8), (200, 60), (1000, 200)])
+    def test_circulant_gram_equals_the_float64_products_of_its_signs(self, n, m):
+        # A, G and c are the signs read from the rows, and their float64
+        # S^T S and S.sum(axis=0), over random gathers that may repeat a column
+        Z = make_partial_circulant(m, n, rng(n + m))
+        rows = np.stack([Z.row(i) for i in range(m)])  # float64 +-1
+        gen = np.random.default_rng(n * m)
+        for size in (0, 1, min(n, 17), n + 5):
+            idx = gen.integers(0, n, size=size)
+            A, G, c = Z.columns(idx)
+            S = rows[:, idx]
+            assert A.tobytes() == S.tobytes()
+            assert G.tobytes() == (S.T @ S).tobytes() and c.tobytes() == S.sum(axis=0).tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(signed_gathers())
     def test_centred_normal_matrix_is_exact(self, gather):
@@ -265,7 +294,7 @@ class TestCosamp:
     @pytest.mark.parametrize("make", [make_rademacher, make_partial_circulant])
     def test_one_gather_per_fit(self, make, monkeypatch):
         # each fit takes its columns and their Gram from one Z.columns call,
-        # and on RC that call builds the index array of one directions gather
+        # which gathers the signs itself, on both ensembles
         Z, g, _ = planted_instance(200, 6, 60, seed=71)
         if make is make_partial_circulant:
             Z = make(60, 200, rng(71))
@@ -276,8 +305,7 @@ class TestCosamp:
         y = Z.apply(g) + 0.05 * np.sqrt(60) * rng(72).standard_normal(60)
         calls = []
         cosamp(Z, y, 6, on_iterate=recorder(calls))
-        gathers = ["columns", "directions"] if make is make_partial_circulant else ["columns"]
-        assert len(calls) >= 2 and seen == gathers * len(calls)
+        assert len(calls) >= 2 and seen == ["columns"] * len(calls)
 
     # An offset that every measurement shares is fitted and discarded
     @pytest.mark.parametrize("offset", [0.0, 2.5])
