@@ -84,11 +84,20 @@ def run_spsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None)
 
 
 def run_zoscd(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:
-    """Single-coordinate descent: forward difference on one random coordinate."""
+    """Single-coordinate descent: forward difference on one random coordinate.
+
+    On a sparse objective most coordinates leave f as it is, so most steps
+    are zero and leave x bit for bit as it was. ``report_f`` is then called
+    once per move, not once per iteration: the run keeps f at the current x
+    until a nonzero step clears it, which ``drive``'s contract for
+    ``report_f`` (a deterministic function of x) makes exact.
+    """
     alpha, delta = cfg.alpha, cfg.delta
     coords = _coordinates(RngStreams(cfg.seed).substream("block_choice"), x0.size)
+    kept = None  # report_f at the current x, or None once a step has moved x
 
     def iterate(x, k, remaining):
+        nonlocal kept
         if remaining < 2:
             return None
         i = next(coords)
@@ -100,10 +109,20 @@ def run_zoscd(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None
         if not math.isfinite(gi):
             x[i] = xi
             raise NumericalFailure("non-finite coordinate derivative")
-        x[i] = xi - alpha * gi
+        if gi:
+            x[i] = xi - alpha * gi
+            kept = None
+        else:  # a zero step: restore x[i]'s own bits, so the kept value stays exact
+            x[i] = xi
         return base
 
-    return drive(oracle, x0, iterate, cfg, report_f)
+    def report(x):
+        nonlocal kept
+        if kept is None:
+            kept = report_f(x)
+        return kept
+
+    return drive(oracle, x0, iterate, cfg, None if report_f is None else report)
 
 
 def _coordinates(rng: np.random.Generator, d: int):

@@ -14,6 +14,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from zobcd.core import ConfigurationError, NumericalFailure
 from zobcd.harness import METHOD_NAMES, ExperimentSpec, read_trace, run_experiment, summarize
 from zobcd.objectives import OBJECTIVES
@@ -42,7 +44,10 @@ def _cmd_run(args) -> int:
     spec = ExperimentSpec.from_file(args.config)
     if args.seed is not None:
         spec.seed = args.seed
-    summary = run_experiment(spec, args.out)
+    # a run that overflows ends as numerical_failure with exit 2; numpy's
+    # RuntimeWarnings on the way there would only add lines to stderr
+    with np.errstate(all="ignore"):
+        summary = run_experiment(spec, args.out)
     print(json.dumps({k: summary[k] for k in ("target", "iterations_to_target", "queries_to_target")}, indent=1))
     failures = [r for r in summary["runs"] if r["termination"] == TERM_FAILURE]
     return 2 if failures else 0

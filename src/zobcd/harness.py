@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from array import array
 from dataclasses import MISSING, dataclass, field
 from pathlib import Path
@@ -118,12 +119,25 @@ _WRITE_CHUNK = 8192  # trace rows formatted per string handed to the file
 
 
 def _trace_text(trace: ConvergenceTrace):
-    """The trace file's header, then its rows in chunks of _WRITE_CHUNK."""
+    """The trace file's header, then its rows in chunks of _WRITE_CHUNK.
+
+    Each chunk is formatted column by column, f as its repr, which reads back
+    exactly.
+    """
     yield ",".join(TraceRecord._fields) + "\n"
     its, qs, fs, nanos = trace.iteration, trace.cumulative_queries, trace.f_value, trace.compute_nanos
     for a in range(0, len(qs), _WRITE_CHUNK):
         b = a + _WRITE_CHUNK
-        yield "".join([f"{it},{q},{f!r},{n}\n" for it, q, f, n in zip(its[a:b], qs[a:b], fs[a:b], nanos[a:b])])
+        yield "".join(map("{},{},{},{}\n".format, its[a:b], qs[a:b], _reprs(fs[a:b]), nanos[a:b]))
+
+
+def _reprs(fs: array) -> np.ndarray:
+    """repr of each float in fs, made once per run of equal bits: repr is
+    most of a row's cost, and ZO-SCD's f stays put for most of its rows."""
+    bits = np.frombuffer(fs, dtype=np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array([repr(fs[k]) for k in starts.tolist()], dtype=object)
+    return np.repeat(texts, np.diff(starts, append=len(fs)))
 
 
 def read_trace(path: str | Path) -> ConvergenceTrace:
@@ -159,10 +173,22 @@ def _remove_stale_traces(out: Path, repeats: int):
 def _first_hit(trace: ConvergenceTrace, target: float | None):
     """(iteration, queries) of the first record at or below target."""
     if target is not None:
-        for it, q, f in zip(trace.iteration, trace.cumulative_queries, trace.f_value):
-            if f <= target:
-                return it, q
+        # a copy: a view would stop the column from growing
+        hits = np.flatnonzero(np.array(trace.f_value) <= _float_at_most(target))
+        if hits.size:
+            k = int(hits[0])
+            return trace.iteration[k], trace.cumulative_queries[k]
     return "unreached", "unreached"
+
+
+def _float_at_most(target) -> float:
+    """The largest float t at or below target, so that f <= t exactly when
+    f <= target for every float f; target may be any int, however large."""
+    try:
+        t = float(target)
+    except OverflowError:
+        return sys.float_info.max if target > 0 else -math.inf
+    return t if t <= target else math.nextafter(t, -math.inf)
 
 
 def _median_iqr(values: list) -> dict:

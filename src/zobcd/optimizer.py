@@ -112,9 +112,11 @@ def drive(oracle: Oracle, x0: np.ndarray, iterate, limits, report_f=None) -> Run
 
     ``report_f``, when given, is a noiseless evaluation channel for the trace
     and the target check, not counted as a query; a run whose x0 already meets
-    the target ends there, with one trace row and no query. Without it the
-    trace reports each iteration's noisy base query, which lags the iterate by
-    one step.
+    the target ends there, with one trace row and no query. It must be a
+    deterministic function of x, which a method may rely on: ZO-SCD calls it
+    once per move and reports the kept value while x stays bit for bit the
+    same. Without it the trace reports each iteration's noisy base query,
+    which lags the iterate by one step.
     """
     x = x0.copy()  # the run's one x, which every iteration steps in place
     trace = ConvergenceTrace()

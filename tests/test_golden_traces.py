@@ -18,6 +18,8 @@ from pathlib import Path
 
 import pytest
 
+from zobcd import baselines, harness
+from zobcd.core import NoiseModel, RngStreams, make_noisy_oracle
 from zobcd.harness import ExperimentSpec, run_single
 
 FIXTURE = Path(__file__).parent / "data" / "golden_traces.json"
@@ -86,6 +88,13 @@ CASES = {
         "params": {"alpha": 0.9, "delta": 1e-3, "budget": 10**6, "max_iters": 50},
         "seed": 7, "noise": _GAUSS,
     },
+    "zoscd-noiseless": {
+        # 2000 iterations, most of them on coordinates the quadric ignores
+        "objective": {"name": "sparse-quadric", "d": 400, "s": 12},
+        "method": "zoscd",
+        "params": {"alpha": 0.9, "delta": 1e-3, "budget": 10**6, "max_iters": 2000},
+        "seed": 8,
+    },
 }
 
 # Cases whose row rule asks for more rows than their blocks have: the count
@@ -106,10 +115,55 @@ def test_trace_matches_golden(name):
     clamp = CLAMP_WARNINGS.get(name)
     with pytest.warns(UserWarning, match=clamp) if clamp else contextlib.nullcontext():
         got = _trace_rows(CASES[name])
-    want = golden["trace"]
+    _assert_golden(got, golden["trace"])
+
+
+def _assert_golden(got: list, want: list):
     assert [r[:2] for r in got] == [r[:2] for r in want]
     for (it, _, f_got), (_, _, f_want) in zip(got, want):
         assert math.isclose(f_got, f_want, rel_tol=REL_TOL, abs_tol=0.0), (it, f_got, f_want)
+
+
+@pytest.mark.parametrize("name", ["zoscd-noiseless", "zoscd"])
+def test_zoscd_reports_f_once_per_move(name, monkeypatch):
+    # ZO-SCD keeps report_f's value while its steps are zero: it calls
+    # report_f once for x0 and once per iteration that moved x, which under
+    # noise is every iteration. The trace must stay the golden one, and
+    # x_final that of a run with no report channel.
+    spec = ExperimentSpec(**CASES[name])
+    seen = {}
+
+    def run_baseline(oracle, x0, cfg, report_f):
+        queries, reports = [], []
+
+        def query(x, query=oracle.eval):
+            queries.append(query(x))
+            return queries[-1]
+
+        def report(x):
+            reports.append(1)
+            return report_f(x)
+
+        oracle.eval = query
+        result = baselines.run_baseline(oracle, x0, cfg, report)
+        noise = NoiseModel(spec.noise["kind"], spec.noise["level"])
+        bare = baselines.run_baseline(make_noisy_oracle(report_f, noise, RngStreams(cfg.seed)), x0, cfg)
+        # one (base, probe) pair a step, and the step is zero exactly when they are equal
+        moves = sum(probe != base for base, probe in zip(queries[::2], queries[1::2]))
+        seen.update(reports=len(reports), moves=moves, same_x=result.x_final.tobytes() == bare.x_final.tobytes())
+        return result
+
+    monkeypatch.setattr(harness, "run_baseline", run_baseline)
+    trace = run_single(spec, spec.seed).trace
+    iterations = len(trace) - 1
+    assert seen["reports"] == 1 + seen["moves"]
+    if spec.noise["kind"] == "none":
+        assert 0 < seen["moves"] < iterations / 10
+    else:
+        assert seen["moves"] == iterations
+    assert seen["same_x"]
+    golden = json.loads(FIXTURE.read_text())[name]["trace"]
+    _assert_golden([[r.iteration, r.cumulative_queries, r.f_value] for r in trace], golden)
 
 
 if __name__ == "__main__":

@@ -1,16 +1,22 @@
 """Tests for the experiment harness and the command-line interface."""
 
 import json
+import warnings
+from array import array
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from zobcd.core import ConfigurationError, ConvergenceTrace
+from zobcd import harness
+from zobcd.core import ConfigurationError, ConvergenceTrace, TraceRecord
 from zobcd.cli import main
 from zobcd.harness import (
     _WRITE_CHUNK,
     ExperimentSpec,
+    _first_hit,
     _trace_text,
     _write,
     read_trace,
@@ -200,6 +206,14 @@ class TestRunSingle:
 
 SHORT_FVALS = [2.5, 1e-300, 0.1 + 0.2, 123456789.125, float("nan")]
 LONG_FVALS = [1.0 / (k + 1) - 0.5 for k in range(2 * _WRITE_CHUNK + 3)]  # three chunks, the last one short
+# floats whose text or whose comparison is easy to get wrong: signed zeros and
+# NaNs, the extremes, and neighbours of 2**53, where integer targets round
+EDGE_FLOATS = [
+    0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 5e-324, -5e-324,
+    1.7976931348623157e308, -1.7976931348623157e308, 9007199254740992.0, 9007199254740994.0, 9007199254740996.0,
+]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+INT64 = st.one_of(st.sampled_from([-(2**63), -1, 0, 1, 2**63 - 1]), st.integers(-(2**63), 2**63 - 1))
 
 
 class TestTraceFiles:
@@ -260,6 +274,19 @@ class TestTraceFiles:
         lines += [f"{r.iteration},{r.cumulative_queries},{repr(r.f_value)},{r.compute_nanos if record_timing else 0}"
                   for r in trace]
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(INT64, INT64, FLOATS, INT64, st.integers(1, 4)), max_size=30), chunk=st.integers(1, 7))
+    def test_trace_text_equals_the_row_by_row_format(self, rows, chunk):
+        # each row 1-4 times over, so that f comes in runs, cut by small chunks
+        rows = [row[:4] for row in rows for _ in range(row[4])]
+        trace = ConvergenceTrace()
+        for name, column in zip(TraceRecord._fields, zip(*rows) if rows else [()] * 4):
+            setattr(trace, name, array("d" if name == "f_value" else "q", column))
+        with mock.patch.object(harness, "_WRITE_CHUNK", chunk):
+            text = "".join(_trace_text(trace))
+        rows_text = "".join([f"{it},{q},{f!r},{n}\n" for it, q, f, n in rows])
+        assert text == ",".join(TraceRecord._fields) + "\n" + rows_text
 
     def test_rerun_removes_only_the_stale_trace_files(self, tmp_path):
         out = tmp_path / "results"
@@ -331,6 +358,27 @@ class TestSummarize:
     def test_no_target_reports_unreached(self):
         out = summarize([self.make_trace([3.0, 2.0])], target=None)
         assert out["iterations_to_target"]["median"] == "unreached"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fvals=st.lists(FLOATS, max_size=20),
+        target=st.one_of(
+            FLOATS.filter(lambda t: np.isfinite(t)),
+            st.integers(-(2**60), 2**60),
+            st.sampled_from([2**53 + 1, 2**53 + 3, -(2**53 + 3), 2**1024, 10**400, -(10**400)]),
+        ),
+    )
+    @example(fvals=[float("nan")] * 3, target=1.0)
+    @example(fvals=[5.0, float("nan"), 3.0], target=1.0)  # no hit
+    @example(fvals=[float("inf"), 2.0], target=10**400)
+    @example(fvals=[9007199254740996.0, 9007199254740992.0], target=2**53 + 3)  # the target's float rounds up
+    def test_first_hit_equals_the_row_loop(self, fvals, target):
+        trace = self.make_trace(fvals)
+        rows = zip(trace.iteration, trace.cumulative_queries, trace.f_value)
+        want = next(((it, q) for it, q, f in rows if f <= target), ("unreached", "unreached"))
+        got = _first_hit(trace, target)
+        assert got == want and [type(v) for v in got] == [type(v) for v in want]
+        trace.append(len(fvals), 10 * len(fvals) + 1, 0.5, 0)  # no view of a column is left behind
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -482,6 +530,27 @@ class TestCli:
         assert code == 0
         runs = json.loads((out / "summary.json").read_text())["runs"]
         assert [(r["iterations"], r["total_queries"]) for r in runs] == [(2, 202)]
+
+    @pytest.mark.parametrize("params", [dict(delta=1e-320), dict(alpha=1e300)], ids=["delta-1e-320", "alpha-1e300"])
+    def test_numerical_failure_exits_2_without_numpy_warnings(self, tmp_path, capsys, params):
+        # noise over a subnormal radius overflows the divided differences; a
+        # step of 1e300 overflows the objective's squares
+        doc = dict(
+            SPEC_DOC,
+            params={**dict(J=2, alpha=0.9, delta=1e-2, budget=10**5, max_iters=50), **params},
+            noise={"kind": "gaussian", "level": 1e-6},
+            repeats=1,
+        )
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert [str(w.message) for w in caught] == []
+        assert err.count("\n") <= 1, err
+        runs = json.loads((out / "summary.json").read_text())["runs"]
+        assert [r["termination"] for r in runs] == ["numerical_failure"]
 
     def test_list_commands(self, capsys):
         assert main(["list-objectives"]) == 0
