@@ -49,8 +49,10 @@ def _cmd_run(args) -> int:
     with np.errstate(all="ignore"):
         summary = run_experiment(spec, args.out)
     print(json.dumps({k: summary[k] for k in ("target", "iterations_to_target", "queries_to_target")}, indent=1))
-    failures = [r for r in summary["runs"] if r["termination"] == TERM_FAILURE]
-    return 2 if failures else 0
+    failed = sum(r["termination"] == TERM_FAILURE for r in summary["runs"])
+    if failed:  # one line on stderr, from main; stdout holds the JSON alone
+        raise NumericalFailure(f"{failed} of {spec.repeats} runs ended {TERM_FAILURE}; see summary.json in {args.out}")
+    return 0
 
 
 def _cmd_summarize(args) -> int:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 STREAM_NAMES = ("partition", "directions", "omega", "block_choice", "noise", "objective")
-MAX_INDEX = int(np.iinfo(np.intp).max)  # the longest an array axis can be
 
 
 class ConfigurationError(ValueError):
@@ -41,6 +41,14 @@ def check_number(name: str, value, integral: bool = False):
     ``integral``; a bool is neither."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
         raise ConfigurationError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+
+
+def check_fits(nbytes: int, what: str):
+    """Raise ConfigurationError if ``what``, nbytes yet to be allocated, exceeds physical memory (under
+    overcommit a larger allocation can succeed, and touching the memory later kills the process)."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise ConfigurationError(f"{what} needs {nbytes:,} bytes, more than the {memory:,} bytes of physical memory")
 
 
 class RngStreams:
@@ -231,12 +239,6 @@ class ConvergenceTrace(Sequence):
             for name in TraceRecord._fields:
                 del getattr(self, name)[n:]
             raise
-
-    def f_values(self) -> np.ndarray:
-        return np.array(self.f_value)
-
-    def queries(self) -> np.ndarray:
-        return np.array(self.cumulative_queries)
 
     def __len__(self) -> int:
         return len(self.cumulative_queries)

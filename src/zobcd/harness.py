@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from zobcd.core import (
-    MAX_INDEX, ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, TraceRecord, check_number, make_noisy_oracle
+    ConfigurationError, ConvergenceTrace, NoiseModel, RngStreams, TraceRecord, check_fits, check_number,
+    make_noisy_oracle,
 )
 from zobcd.baselines import BASELINES, BaselineConfig, run_baseline
 from zobcd.objectives import OBJECTIVES, make_objective
@@ -41,6 +42,8 @@ def _check_fields(where: str, doc: dict, fields: dict):
 
 @dataclass
 class ExperimentSpec:
+    """One checked experiment; its x0 and x, 16 * d bytes, must fit in physical memory (``check_fits``)."""
+
     objective: dict
     method: str
     params: dict
@@ -61,9 +64,9 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown objective {name!r} (choose from {OBJECTIVES})")
         for key in ("d", "s"):
             check_number(f"objective.{key}", self.objective.get(key), integral=True)
-        max_d = MAX_INDEX // 8  # x0 holds d float64s
-        if not 1 <= self.objective["s"] <= self.objective["d"] <= max_d:
-            raise ConfigurationError(f"objective needs 1 <= s <= d <= {max_d}, got {self.objective}")
+        if not 1 <= self.objective["s"] <= self.objective["d"]:
+            raise ConfigurationError(f"objective needs 1 <= s <= d, got {self.objective}")
+        check_fits(16 * int(self.objective["d"]), f"objective.d={self.objective['d']} (x0 and x)")
         check_number("repeats", self.repeats, integral=True)
         if self.repeats < 1:
             raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
@@ -255,13 +258,6 @@ def run_experiment(spec: ExperimentSpec, out_dir: str | Path) -> dict:
         traces.append(result.trace)
         terminations.append(result.termination)
     summary = summarize(traces, spec.params.get("target"), terminations)
-    summary["spec"] = {
-        "objective": spec.objective,
-        "method": spec.method,
-        "params": spec.params,
-        "noise": spec.noise,
-        "repeats": spec.repeats,
-        "seed": spec.seed,
-    }
+    summary["spec"] = {k: getattr(spec, k) for k in ("objective", "method", "params", "noise", "repeats", "seed")}
     _write(out / "summary.json", [json.dumps(summary, indent=1)])
     return summary

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from zobcd.core import (
-    ConfigurationError, ConvergenceTrace, MAX_INDEX, NumericalFailure, Oracle, RngStreams, check_number, finite
+    ConfigurationError, ConvergenceTrace, NumericalFailure, Oracle, RngStreams, check_number, finite
 )
 from zobcd.blocks import BlockPartition, random_partition, reshuffle_if_due
 from zobcd.estimator import estimate_block_gradient
@@ -57,8 +57,8 @@ class ZobcdConfig:
             raise ConfigurationError(f"need s >= 1, got {self.s}")
         if self.reshuffle_period is not None and self.reshuffle_period < 1:
             raise ConfigurationError(f"reshuffle period must be >= 1, got {self.reshuffle_period}")
-        if self.m_override is not None and not 1 <= self.m_override <= MAX_INDEX:
-            raise ConfigurationError(f"m_override must be in [1, {MAX_INDEX}], got {self.m_override}")
+        if self.m_override is not None and self.m_override < 1:
+            raise ConfigurationError(f"m_override must be >= 1, got {self.m_override}")
 
 
 def check_run_limits(cfg, positive: tuple[str, ...], integers: tuple[str, ...] = ()):

@@ -29,7 +29,7 @@ from typing import Protocol
 
 import numpy as np
 
-from zobcd.core import MAX_INDEX, ConfigurationError, NumericalFailure, check_number
+from zobcd.core import ConfigurationError, NumericalFailure, check_fits, check_number
 
 # float32 holds every integer below 2**24 exactly, so a float32 product of
 # +-1 vectors of fewer than this many entries is exact.
@@ -242,20 +242,23 @@ def draw_signs(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
+def _check_shape(m, n) -> tuple[int, int]:  # m and n as ints, each an integer >= 1
+    check_number("m", m, integral=True)
+    check_number("n", n, integral=True)
+    if m <= 0 or n <= 0:
+        raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
+    return int(m), int(n)
+
+
 def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsemble:
     """m x n Rademacher ensemble whose stored ``cols`` are ``draw_signs(cols.ravel(), rng)``.
 
     That is, entry (i, c) of the matrix, cols[c, i], is sign c * m + i: the
     signs are drawn in storage order, in word-aligned chunks, straight into
-    the float32 store.
+    the float32 store, whose 4 * m * n bytes must first pass ``check_fits``.
     """
-    check_number("m", m, integral=True)
-    check_number("n", n, integral=True)
-    m, n = int(m), int(n)
-    if m <= 0 or n <= 0:
-        raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
-    if 4 * m * n > MAX_INDEX:  # cols holds m * n float32s
-        raise ConfigurationError(f"an m={m} x n={n} ensemble is too large to address")
+    m, n = _check_shape(m, n)
+    check_fits(4 * m * n, f"an m={m} x n={n} Rademacher store")
     cols = np.empty((n, m), dtype=np.float32)
     flat = cols.reshape(-1)
     for start in range(0, flat.size, _CHUNK):
@@ -266,10 +269,7 @@ def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsem
 def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialCirculantEnsemble:
     """Partial circulant ensemble of generator ``draw_signs(np.empty(n, np.float32), rng)``
     and m distinct rows that ``rng`` chooses next."""
-    check_number("m", m, integral=True)
-    check_number("n", n, integral=True)
-    if m <= 0 or n <= 0:
-        raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
+    m, n = _check_shape(m, n)
     if m > n:
         raise ConfigurationError(f"circulant row count m={m} cannot exceed n={n}")
     z = draw_signs(np.empty(n, dtype=np.float32), rng)

@@ -66,7 +66,7 @@ class TestFdsa:
         oracle = noiseless_oracle(q.eval)
         cfg = BaselineConfig(method="fdsa", alpha=0.9, delta=1e-5, budget=10**6, max_iters=20)
         res = run_fdsa(oracle, x0, cfg, report_f=q.eval)
-        fv = res.trace.f_values()
+        fv = np.array(res.trace.f_value)
         assert fv[-1] <= 1e-6
         # descent is monotone down to the forward-difference bias floor,
         # which is s * (delta/2)^2 / 2 for this objective
@@ -108,7 +108,7 @@ class TestSpsa:
         oracle = noiseless_oracle(q.eval)
         cfg = BaselineConfig(method="spsa", alpha=0.05, delta=1e-4, budget=10**6, max_iters=400)
         res = run_spsa(oracle, x0, cfg, report_f=q.eval)
-        fv = res.trace.f_values()
+        fv = np.array(res.trace.f_value)
         assert fv[-1] <= 0.05 * fv[0]
 
 
@@ -141,7 +141,7 @@ class TestZoscd:
         oracle = noiseless_oracle(q.eval)
         cfg = BaselineConfig(method="zoscd", alpha=0.9, delta=1e-6, budget=10**6, max_iters=600)
         res = run_zoscd(oracle, x0, cfg, report_f=q.eval)
-        fv = res.trace.f_values()
+        fv = np.array(res.trace.f_value)
         assert fv[-1] <= 1e-3 * fv[0]
 
 
@@ -155,8 +155,9 @@ class TestDispatchAndTraceSchema:
         assert res.termination == TERM_MAX_ITERS
         tr = res.trace
         assert len(tr) == 5  # initial record plus 4 iterations
-        assert list(tr.queries())[0] == 0
-        assert all(b > a for a, b in zip(tr.queries(), tr.queries()[1:]))
+        queries = tr.cumulative_queries
+        assert queries[0] == 0
+        assert all(b > a for a, b in zip(queries, queries[1:]))
 
     def test_target_termination(self):
         q, x0 = make_quadric(20, 3)
@@ -173,5 +174,5 @@ class TestDispatchAndTraceSchema:
             oracle = noiseless_oracle(q.eval, seed=5)
             cfg = BaselineConfig(method=method, alpha=0.2, delta=1e-4, budget=10**6, seed=5, max_iters=6)
             res = run_baseline(oracle, x0, cfg, report_f=q.eval)
-            runs.append(res.trace.f_values())
+            runs.append(np.array(res.trace.f_value))
         assert np.array_equal(runs[0], runs[1])

@@ -3,11 +3,14 @@ import math
 import time
 import tracemalloc
 from collections.abc import Sequence
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zobcd import core
 from zobcd.core import (
     ConfigurationError,
     ConvergenceTrace,
@@ -15,12 +18,40 @@ from zobcd.core import (
     Oracle,
     RngStreams,
     TraceRecord,
+    check_fits,
     make_noisy_oracle,
 )
 from zobcd.objectives import MaxSSumSquared, SparseQuadric
 from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher
 
 NOISES = [NoiseModel.none(), NoiseModel.bounded(0.1), NoiseModel.gaussian(1e-2)]
+
+
+def physical_memory(nbytes: int):
+    """Patch the physical memory check_fits reads to nbytes, a multiple of 4096."""
+    sysconf = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}.__getitem__
+    return mock.patch.object(core, "os", SimpleNamespace(sysconf=sysconf))
+
+
+def test_check_fits_bounds_by_physical_memory():
+    with physical_memory(2**20):
+        check_fits(2**20, "an array")  # exactly the memory fits
+        message = "a store needs 1,048,577 bytes, more than the 1,048,576 bytes of physical memory"
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            check_fits(2**20 + 1, "a store")
+        with pytest.raises(ConfigurationError, match="more than the 1,048,576 bytes"):
+            check_fits(10**400, "a huge store")  # any int, however large
+    check_fits(2**20, "an array")  # the real figure, from os.sysconf
+
+
+def test_rademacher_store_beyond_memory_is_rejected_before_any_draw():
+    gen = np.random.default_rng(0)
+    with physical_memory(2**20):
+        make_rademacher(256, 1024, gen)  # 4 * 256 * 1024 bytes: exactly the memory
+        state = gen.bit_generator.state
+        with pytest.raises(ConfigurationError, match=r"^an m=257 x n=1024 Rademacher store needs 1,052,672 bytes"):
+            make_rademacher(257, 1024, gen)
+    assert gen.bit_generator.state == state
 
 
 def test_noiseless_oracle_identity():
@@ -385,6 +416,6 @@ def test_trace_arrays():
     trace = ConvergenceTrace()
     trace.append(0, 0, 2.0, 0)
     trace.append(1, 5, 1.0, 10)
-    assert np.array_equal(trace.f_values(), [2.0, 1.0])
-    assert np.array_equal(trace.queries(), [0, 5])
+    assert np.array_equal(np.array(trace.f_value), [2.0, 1.0])
+    assert np.array_equal(np.array(trace.cumulative_queries), [0, 5])
     assert len(trace) == 2

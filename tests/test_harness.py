@@ -1,16 +1,22 @@
 """Tests for the experiment harness and the command-line interface."""
 
+import contextlib
+import copy
+import io
 import json
+import math
+import tempfile
 import warnings
 from array import array
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zobcd import harness
+from zobcd import core, harness
 from zobcd.core import ConfigurationError, ConvergenceTrace, TraceRecord
 from zobcd.cli import main
 from zobcd.harness import (
@@ -88,6 +94,9 @@ BAD_INPUTS = {
     # below the largest intp, yet too large for numpy to address as an array
     "params-m-override-unaddressable": dict(params=dict(_PARAMS, m_override=2**62)),
     "objective-d-unaddressable": dict(objective={"name": "sparse-quadric", "d": 2**62, "s": 10}),
+    # addressable, yet beyond memory: x0 and x of 16 * 10**13 bytes, a 4 * 10**9 * 100-byte sign store
+    "objective-d-beyond-memory": dict(objective={"name": "sparse-quadric", "d": 10**13, "s": 10}),
+    "params-m-override-beyond-memory": dict(params=dict(_PARAMS, m_override=10**9)),
     # numpy's uniform(-level, level) overflows its range 2 * level
     "noise-bounded-level-beyond-half-max": dict(noise={"kind": "bounded", "level": 1.5e308}),
     "params-max-iters-negative": dict(params=dict(_PARAMS, max_iters=-3)),
@@ -134,6 +143,44 @@ BAD_FILES = {
 }
 
 
+# The physical memory check_fits sees in the CLI tests: a few MB, so that no
+# spec they run can ask numpy for more, whatever the machine has.
+TEST_MEMORY = 2**22
+
+
+def physical_memory(nbytes: int = TEST_MEMORY):
+    """Patch the physical memory check_fits reads to nbytes, a multiple of 4096."""
+    sysconf = {"SC_PHYS_PAGES": nbytes // 4096, "SC_PAGE_SIZE": 4096}.__getitem__
+    return mock.patch.object(core, "os", SimpleNamespace(sysconf=sysconf))
+
+
+# The property test's mutations: any field of SPEC_DOC, or an optional ZO-BCD param it leaves
+# out, takes a float, a string, a list, null, a bool, or a huge integer of either sign.
+MUTABLE_FIELDS = [
+    *[(key,) for key in SPEC_DOC],
+    *[("objective", key) for key in SPEC_DOC["objective"]],
+    *[("noise", key) for key in SPEC_DOC["noise"]],
+    *[("params", key) for key in _PARAMS],
+    *[("params", key) for key in ("max_iters", "b1", "reshuffle_period", "m_override", "block_sparsity_factor")],
+]
+HUGE_INTEGERS = st.one_of(
+    st.just(0),
+    st.builds(
+        lambda v, sign: sign * v,
+        st.one_of(st.sampled_from([2**53 + 1, 2**62, 2**63, 2**64, 10**13, 10**400]), st.integers(min_value=2**31)),
+        st.sampled_from([1, -1]),
+    ),
+)
+MUTATIONS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300, 5e-324, 1e-320]),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.none(),
+    st.booleans(),
+)
+
+
 def write_spec(tmp_path, doc=SPEC_DOC):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -174,6 +221,15 @@ class TestExperimentSpec:
         spec = ExperimentSpec.from_file(path)
         assert spec.method == "zobcd-r" and spec.repeats == 5
 
+    def test_x0_and_x_must_fit_in_memory(self):
+        doc = dict(SPEC_DOC, objective={"name": "sparse-quadric", "d": 2**16, "s": 10})
+        with physical_memory(2**20):
+            ExperimentSpec(**doc)  # 16 * 2**16 bytes: exactly the memory
+            doc["objective"]["d"] += 1
+            message = r"^objective.d=65537 \(x0 and x\) needs 1,048,592 bytes, more than the 1,048,576 bytes"
+            with pytest.raises(ConfigurationError, match=message):
+                ExperimentSpec(**doc)
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -186,7 +242,7 @@ class TestRunSingle:
         spec = ExperimentSpec(**SPEC_DOC)
         result = run_single(spec, run_seed=3)
         assert result.termination == "target_reached"
-        assert result.trace.f_values()[-1] <= 1e-4
+        assert result.trace.f_value[-1] <= 1e-4
 
     def test_baseline_method_dispatch(self):
         doc = dict(
@@ -195,12 +251,12 @@ class TestRunSingle:
             params={"alpha": 0.02, "delta": 1e-4, "budget": 400},
         )
         result = run_single(ExperimentSpec(**doc), run_seed=0)
-        assert result.trace.queries()[-1] <= 400 + 1
+        assert result.trace.cumulative_queries[-1] <= 400 + 1
 
     def test_same_seed_is_deterministic(self):
         spec = ExperimentSpec(**SPEC_DOC)
-        a = run_single(spec, run_seed=9).trace.f_values()
-        b = run_single(spec, run_seed=9).trace.f_values()
+        a = run_single(spec, run_seed=9).trace.f_value
+        b = run_single(spec, run_seed=9).trace.f_value
         assert np.array_equal(a, b)
 
 
@@ -235,8 +291,8 @@ class TestTraceFiles:
         assert lines[0] == "iteration,cumulative_queries,f_value,compute_nanos"
         trace = read_trace(path)
         direct = run_single(spec, run_seed=spec.seed).trace
-        assert np.array_equal(trace.f_values(), direct.f_values())
-        assert np.array_equal(trace.queries(), direct.queries())
+        assert np.array_equal(trace.f_value, direct.f_value)
+        assert np.array_equal(trace.cumulative_queries, direct.cumulative_queries)
 
     def test_record_timing_false_zeroes_nanos(self, tmp_path):
         # a zoscd run of three write chunks, the last one short
@@ -477,7 +533,7 @@ class TestCli:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["spec"]["seed"] == 17
         assert [r["total_queries"] for r in summary["runs"]] == [
-            run_single(ExperimentSpec(**SPEC_DOC), seed).trace.queries()[-1] for seed in (17, 18)
+            run_single(ExperimentSpec(**SPEC_DOC), seed).trace.cumulative_queries[-1] for seed in (17, 18)
         ]
 
     def test_rerun_replaces_the_traces_of_an_earlier_run(self, tmp_path, capsys):
@@ -505,7 +561,8 @@ class TestCli:
             code = main(["summarize", "--in", str(tmp_path)])
         else:
             config = path if BAD_INPUTS[case] is None else write_spec(tmp_path, dict(SPEC_DOC, **BAD_INPUTS[case]))
-            code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+            with physical_memory():
+                code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("configuration error:") and err.count("\n") == 1, err
@@ -513,6 +570,9 @@ class TestCli:
         assert name in err
         if case in ("malformed-trace-row", "trace-row-beyond-int64"):
             assert "trace_000.csv line 3: malformed trace row" in err
+        needed = {"objective-d-beyond-memory": 16 * 10**13, "params-m-override-beyond-memory": 4 * 10**9 * 100}
+        if case in needed:
+            assert f"needs {needed[case]:,} bytes, more than the {TEST_MEMORY:,} bytes of physical memory" in err
 
     def test_huge_b1_clamps_the_rows_without_a_traceback(self, tmp_path, capsys):
         # b1 * s_block * ln n overflows to inf: every 100-column block gets
@@ -545,12 +605,47 @@ class TestCli:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["run", "--config", str(write_spec(tmp_path, doc)), "--out", str(out)])
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         assert code == 2
         assert [str(w.message) for w in caught] == []
-        assert err.count("\n") <= 1, err
+        assert captured.err == f"numerical failure: 1 of 1 runs ended numerical_failure; see summary.json in {out}\n"
+        assert json.loads(captured.out)["queries_to_target"]["median"] == "unreached"
         runs = json.loads((out / "summary.json").read_text())["runs"]
         assert [r["termination"] for r in runs] == ["numerical_failure"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(path=st.sampled_from(MUTABLE_FIELDS), value=MUTATIONS, huge=HUGE_INTEGERS)
+    @example(path=("objective", "d"), value=10**13, huge=0)
+    @example(path=("params", "m_override"), value=10**9, huge=0)
+    @example(path=("params", "alpha"), value=1e300, huge=0)
+    def test_any_one_mutated_field_exits_0_1_or_2_with_at_most_one_line(self, path, value, huge):
+        # value replaces one field of a valid spec capped at 3 iterations, or
+        # a huge integer does (huge=0 means value): nothing bounds repeats,
+        # so it never takes a huge integer
+        if huge and path != ("repeats",):
+            value = huge
+        doc = copy.deepcopy(dict(SPEC_DOC, params=dict(_PARAMS, max_iters=3)))
+        *keys, last = path
+        parent = doc
+        for key in keys:
+            parent = parent[key]
+        parent[last] = value
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp, "spec.json")
+            config.write_text(json.dumps(doc))
+            # the warnings system is not the CLI's output: a huge b1 rightly warns of its clamp
+            with physical_memory(), warnings.catch_warnings(record=True), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("always")
+                code = main(["run", "--config", str(config), "--out", str(Path(tmp, "o"))])
+            made_output = Path(tmp, "o").exists()
+        assert code in (0, 1, 2)
+        assert stderr.getvalue().count("\n") == (code != 0), stderr.getvalue()
+        assert stderr.getvalue().startswith({0: "", 1: "configuration error:", 2: "numerical failure:"}[code])
+        assert made_output == (code != 1)
+        if code != 1:
+            json.loads(stdout.getvalue())
 
     def test_list_commands(self, capsys):
         assert main(["list-objectives"]) == 0

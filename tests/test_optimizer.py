@@ -109,7 +109,7 @@ class TestConfigValidation:
             ((n, Z),) = _make_ensembles(cfg, p, streams, 53).items()
             res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         assert (n, Z.m) == (5000, 903)
-        assert list(res.trace.queries()) == [0, 904]
+        assert list(res.trace.cumulative_queries) == [0, 904]
 
     @pytest.mark.parametrize(
         "variant, d, s",
@@ -139,7 +139,7 @@ class TestRunZobcd:
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         f0 = q.eval(x0)
         assert res.termination == TERM_MAX_ITERS
-        assert res.trace.f_values()[-1] <= 1e-10 * f0
+        assert res.trace.f_value[-1] <= 1e-10 * f0
         assert np.linalg.norm(res.x_final[q.support]) <= 1e-5
 
     @pytest.mark.parametrize("max_iters", [None, 0])
@@ -170,14 +170,14 @@ class TestRunZobcd:
         s_block = math.ceil(1.1 * cfg.s / cfg.J)
         m = required_rows(s_block, n, b1=cfg.b1)
         assert oracle.query_count == 5 * (m + 1)
-        assert res.trace.queries()[-1] == oracle.query_count
+        assert res.trace.cumulative_queries[-1] == oracle.query_count
 
     def test_default_factor_gives_the_exact_block_sparsity(self):
         # the paper's d=20000, J=4, s=200 at the default factor 1.1: s_block is
         # 1.1 * 200 / 4 = 55 exactly, so m = ceil(2 * 55 * ln 5000) = 937
         q, x0, cfg, oracle = make_quadric_run(20000, 4, 200, max_iters=1)
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
-        assert list(res.trace.queries()) == [0, 938]
+        assert list(res.trace.cumulative_queries) == [0, 938]
 
     def test_budget_limits_iterations(self):
         q, x0, cfg, oracle = make_quadric_run(120, 4, 8)
@@ -195,7 +195,7 @@ class TestRunZobcd:
         q, x0, cfg, oracle = make_quadric_run(256, 1, 8, target=1e-8)
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
         assert res.termination == TERM_TARGET
-        assert res.trace.f_values()[-1] <= 1e-8
+        assert res.trace.f_value[-1] <= 1e-8
 
     @pytest.mark.parametrize("variant", ["R", "RC"])
     def test_descends_on_sparse_quadric(self, variant):
@@ -203,7 +203,7 @@ class TestRunZobcd:
             240, 4, 12, variant=variant, alpha=0.9, max_iters=40
         )
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
-        fv = res.trace.f_values()
+        fv = np.array(res.trace.f_value)
         assert fv[-1] <= 1e-4 * fv[0]
 
     @pytest.mark.parametrize("variant", ["R", "RC"])
@@ -214,7 +214,7 @@ class TestRunZobcd:
                 120, 4, 8, variant=variant, seed=7, max_iters=6
             )
             res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
-            runs.append(res.trace.f_values())
+            runs.append(np.array(res.trace.f_value))
         assert np.array_equal(runs[0], runs[1])
 
     def test_reshuffle_keeps_descending(self):
@@ -222,7 +222,7 @@ class TestRunZobcd:
             240, 4, 12, alpha=0.9, max_iters=40, reshuffle_period=4
         )
         res = run_zobcd(oracle, x0, cfg, report_f=q.eval)
-        fv = res.trace.f_values()
+        fv = np.array(res.trace.f_value)
         assert fv[-1] <= 1e-4 * fv[0]
 
     @pytest.mark.parametrize(
@@ -272,7 +272,7 @@ class TestUnequalBlocks:
         blocks = [int(choice.integers(self.J)) for _ in range(iters)]
         assert {int(p.block_sizes[j]) for j in blocks} == {30, 31}
         expected = [self.rows(int(p.block_sizes[j])) + 1 for j in blocks]
-        assert list(np.diff(res.trace.queries())) == expected
+        assert list(np.diff(res.trace.cumulative_queries)) == expected
         assert oracle.query_count == sum(expected)
 
     def test_smaller_block_rows_are_prefix_of_master(self):

@@ -47,12 +47,14 @@ class TestRademacher:
         assert np.all(np.abs(Z.cols.T.mean(axis=0)) <= 4 / np.sqrt(1000))
 
     def test_bad_sizes_rejected(self):
-        # a size that is not an integer is a configuration error too, not numpy's TypeError
-        for m, n in [(0, 8), (4, -1), (2.5, 8), (4, 8.0), (True, 8), (4, "8"), (4, None)]:
-            with pytest.raises(ConfigurationError):
-                make_rademacher(m, n, rng())
-        Z = make_rademacher(np.int64(4), np.int32(8), rng())  # numpy integers are integers
-        assert (Z.m, Z.n) == (4, 8)
+        # a size that is not an integer is a configuration error too, not
+        # numpy's TypeError; both builders share the check
+        for make in (make_rademacher, make_partial_circulant):
+            for m, n in [(0, 8), (4, -1), (2.5, 8), (4, 8.0), (True, 8), (4, "8"), (4, None)]:
+                with pytest.raises(ConfigurationError):
+                    make(m, n, rng())
+            Z = make(np.int64(4), np.int32(8), rng())  # numpy integers are integers
+            assert (Z.m, Z.n) == (4, 8)
 
 
 def rademacher_reference(m, n, gen):
