@@ -30,7 +30,7 @@ class BaselineConfig:
     def __post_init__(self):
         if not isinstance(self.method, str) or self.method not in BASELINES:
             raise ConfigurationError(f"unknown baseline method: {self.method!r}")
-        check_run_limits(self, ("alpha", "delta"))
+        check_run_limits(self)
 
 
 def run_fdsa(oracle: Oracle, x0: np.ndarray, cfg: BaselineConfig, report_f=None) -> RunResult:

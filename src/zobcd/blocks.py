@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zobcd.core import ConfigurationError
+from zobcd.core import ConfigurationError, check_number
 from zobcd.sparse_recovery import SparseVector
 
 
@@ -45,7 +45,9 @@ class BlockPartition:
 
 def random_partition(d: int, J: int, rng: np.random.Generator) -> BlockPartition:
     """Uniform partition into J near-equal blocks (remainder in leading blocks)."""
-    if J <= 0 or J > d:
+    check_number("d", d, integral=True, low=1)
+    check_number("J", J, integral=True, low=1)
+    if J > d:
         raise ConfigurationError(f"need 1 <= J <= d, got J={J}, d={d}")
     perm = rng.permutation(d)
     base, rem = divmod(d, J)

@@ -28,19 +28,29 @@ class NumericalFailure(RuntimeError):
     """Non-finite values encountered during a numerical procedure."""
 
 
-def finite(value) -> bool:
-    """math.isfinite, False also for an integer too large for a float."""
+def check_number(name: str, value, integral: bool = False, low=None, strict: bool = False):
+    """The one rule for a caller-given number: raise ConfigurationError unless
+    ``value`` is an integer when ``integral``, and otherwise a finite real,
+    and is >= ``low``, or > ``low`` when ``strict`` (no bound when ``low`` is None).
+
+    A bool is neither an integer nor a real here, and an int too large for a
+    float is not finite. numpy scalars count through numpy's registration with
+    ``numbers.Integral`` and ``numbers.Real``. The message states the whole
+    rule, e.g. "J must be an integer >= 1, got 0".
+    """
     try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def check_number(name: str, value, integral: bool = False):
-    """Raise ConfigurationError unless value is a number, or an integer when
-    ``integral``; a bool is neither."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-        raise ConfigurationError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+        ok = (
+            not isinstance(value, bool)
+            and isinstance(value, numbers.Integral if integral else numbers.Real)
+            and (integral or math.isfinite(value))
+            and (low is None or (value > low if strict else value >= low))
+        )
+    except OverflowError:  # math.isfinite of an int too large for a float
+        ok = False
+    if not ok:
+        rule = "an integer" if integral else "a finite number"
+        bound = "" if low is None else f" {'>' if strict else '>='} {low}"
+        raise ConfigurationError(f"{name} must be {rule}{bound}, got {value!r}")
 
 
 def check_fits(nbytes: int, what: str):
@@ -60,10 +70,8 @@ class RngStreams:
     """
 
     def __init__(self, master_seed: int):
-        check_number("seed", master_seed, integral=True)
+        check_number("seed", master_seed, integral=True, low=0)
         self.master_seed = int(master_seed)
-        if self.master_seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.master_seed}")
 
     def substream(self, name: str) -> np.random.Generator:
         if name not in STREAM_NAMES:
@@ -88,11 +96,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.kind not in ("none", "bounded", "gaussian"):
             raise ConfigurationError(f"unknown noise kind: {self.kind!r}")
-        level = self.level
-        if isinstance(level, bool) or not isinstance(level, numbers.Real) or not (finite(level) and level >= 0):
-            raise ConfigurationError(f"noise level must be a finite number >= 0, got {level!r}")
-        if self.kind == "bounded" and not math.isfinite(2.0 * level):  # numpy's uniform draws over 2 * level
-            raise ConfigurationError(f"bounded noise level must be at most half the largest float, got {level!r}")
+        check_number("noise level", self.level, low=0)
+        if self.kind == "bounded" and not math.isfinite(2.0 * self.level):  # numpy's uniform draws over 2 * level
+            raise ConfigurationError(f"bounded noise level must be at most half the largest float, got {self.level!r}")
 
     @classmethod
     def none(cls) -> "NoiseModel":

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from zobcd.core import ConfigurationError, NumericalFailure, Oracle
+from zobcd.core import ConfigurationError, NumericalFailure, Oracle, check_number
 from zobcd.blocks import BlockPartition
 from zobcd.sampling import MeasurementOperator
 from zobcd.sparse_recovery import SparseVector, cosamp
@@ -38,9 +38,9 @@ def estimate_block_gradient(
     idx = p.block_indices(j)
     if Z.n != idx.size:
         raise ConfigurationError(f"ensemble dimension {Z.n} != block size {idx.size}")
-    if not 0 < delta < math.inf:
-        raise ConfigurationError(f"query radius must be finite and > 0, got {delta}")
-    if not 1 <= s <= Z.n:
+    check_number("query radius", delta, low=0, strict=True)
+    check_number("block sparsity", s, integral=True, low=1)
+    if s > Z.n:
         raise ConfigurationError(f"need 1 <= s <= n for the block sparsity, got s={s}, n={Z.n}")
 
     base = oracle.eval(x)
@@ -63,10 +63,9 @@ def theoretical_radius(sigma: float, H: float | None = None) -> float:
     Gaussian noise. It is not ``NoiseModel.level``, which for Gaussian noise
     is the variance: level 1e-6 gives sigma 1e-3.
     """
-    if not 0 <= sigma < math.inf:
-        raise ConfigurationError(f"sigma must be finite and >= 0, got {sigma}")
+    check_number("sigma", sigma, low=0)
+    if H is not None:
+        check_number("Hessian bound", H, low=0, strict=True)
     if sigma == 0 or H is None:
         return 1e-2
-    if not 0 < H < math.inf:
-        raise ConfigurationError(f"Hessian bound must be finite and > 0, got {H}")
     return 2.0 * math.sqrt(sigma / H)

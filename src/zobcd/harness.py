@@ -63,14 +63,12 @@ class ExperimentSpec:
         if name not in OBJECTIVES:
             raise ConfigurationError(f"unknown objective {name!r} (choose from {OBJECTIVES})")
         for key in ("d", "s"):
-            check_number(f"objective.{key}", self.objective.get(key), integral=True)
-        if not 1 <= self.objective["s"] <= self.objective["d"]:
+            check_number(f"objective.{key}", self.objective.get(key), integral=True, low=1)
+        if self.objective["s"] > self.objective["d"]:
             raise ConfigurationError(f"objective needs 1 <= s <= d, got {self.objective}")
         check_fits(16 * int(self.objective["d"]), f"objective.d={self.objective['d']} (x0 and x)")
-        check_number("repeats", self.repeats, integral=True)
-        if self.repeats < 1:
-            raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        check_number("seed", self.seed, integral=True)
+        check_number("repeats", self.repeats, integral=True, low=1)
+        check_number("seed", self.seed, integral=True, low=0)
         if not isinstance(self.record_timing, bool):
             raise ConfigurationError(f"record_timing must be true or false, got {self.record_timing!r}")
         if not isinstance(self.params, dict):

@@ -14,8 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zobcd.core import ConfigurationError
+from zobcd.core import ConfigurationError, check_number
 from zobcd.sparse_recovery import SparseVector, top_k_magnitude
+
+
+def _check_sizes(d, s):
+    """d and s must be integers with 1 <= s <= d."""
+    check_number("d", d, integral=True, low=1)
+    check_number("s", s, integral=True, low=1)
+    if s > d:
+        raise ConfigurationError(f"need 1 <= s <= d, got s={s}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +53,7 @@ class SparseQuadric:
 
     @classmethod
     def random(cls, d: int, s: int, rng: np.random.Generator) -> "SparseQuadric":
+        _check_sizes(d, s)
         support = rng.choice(d, size=s, replace=False)
         return cls(d, support, np.ones(s))
 
@@ -84,8 +93,7 @@ class MaxSSumSquared:
     s: int
 
     def __post_init__(self):
-        if not 1 <= self.s <= self.d:
-            raise ConfigurationError(f"need 1 <= s <= d, got s={self.s}, d={self.d}")
+        _check_sizes(self.d, self.s)
 
     def _values(self, top: np.ndarray) -> np.ndarray:
         # f of each row of a (rows, s) array of the top s magnitudes in

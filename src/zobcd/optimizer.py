@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from zobcd.core import (
-    ConfigurationError, ConvergenceTrace, NumericalFailure, Oracle, RngStreams, check_number, finite
+    ConfigurationError, ConvergenceTrace, NumericalFailure, Oracle, RngStreams, check_number
 )
 from zobcd.blocks import BlockPartition, random_partition, reshuffle_if_due
 from zobcd.estimator import estimate_block_gradient
@@ -48,39 +48,30 @@ class ZobcdConfig:
     def __post_init__(self):
         if self.variant not in ("R", "RC"):
             raise ConfigurationError(f"variant must be 'R' or 'RC', got {self.variant!r}")
-        check_run_limits(
-            self, ("alpha", "delta", "b1", "block_sparsity_factor"), ("d", "J", "s", "reshuffle_period", "m_override")
-        )
-        if not 1 <= self.J <= self.d:
+        check_run_limits(self)
+        if self.J > self.d:
             raise ConfigurationError(f"need 1 <= J <= d, got J={self.J}, d={self.d}")
-        if self.s < 1:
-            raise ConfigurationError(f"need s >= 1, got {self.s}")
-        if self.reshuffle_period is not None and self.reshuffle_period < 1:
-            raise ConfigurationError(f"reshuffle period must be >= 1, got {self.reshuffle_period}")
-        if self.m_override is not None and self.m_override < 1:
-            raise ConfigurationError(f"m_override must be >= 1, got {self.m_override}")
 
 
-def check_run_limits(cfg, positive: tuple[str, ...], integers: tuple[str, ...] = ()):
-    """Validate the fields every method's config shares, ``positive``, which
-    must be finite and > 0, and ``integers``. Each of these fields that does
-    not default to None must be a number: an integer for ``budget``,
-    ``seed``, ``max_iters`` and ``integers``, and never a bool."""
-    integers = ("budget", "seed", "max_iters", *integers)
-    for name in (*positive, *integers, "target"):
+# (integral, low) of every number a method's config may hold: an integer
+# must be >= low and a real > low; a low of None bounds nothing.
+RUN_LIMITS = {
+    **dict.fromkeys(("d", "J", "s", "budget", "reshuffle_period", "m_override"), (True, 1)),
+    **dict.fromkeys(("seed", "max_iters"), (True, 0)),
+    **dict.fromkeys(("alpha", "delta", "b1", "block_sparsity_factor"), (False, 0)),
+    "target": (False, None),
+}
+
+
+def check_run_limits(cfg):
+    """Apply ``check_number`` to every field of the dataclass ``cfg`` that
+    ``RUN_LIMITS`` names, as its row there says. A field that defaults to
+    None may also be None."""
+    for name, field in cfg.__dataclass_fields__.items():
         value = getattr(cfg, name)
-        if value is not None or cfg.__dataclass_fields__[name].default is not None:
-            check_number(name, value, integral=name in integers)
-    for name in positive:
-        value = getattr(cfg, name)
-        if not (finite(value) and value > 0):
-            raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
-    if cfg.budget < 1:
-        raise ConfigurationError(f"query budget must be >= 1, got {cfg.budget}")
-    if cfg.target is not None and not finite(cfg.target):
-        raise ConfigurationError(f"target must be finite, got {cfg.target}")
-    if cfg.max_iters is not None and cfg.max_iters < 0:
-        raise ConfigurationError(f"max_iters must be >= 0, got {cfg.max_iters}")
+        if name in RUN_LIMITS and (value is not None or field.default is not None):
+            integral, low = RUN_LIMITS[name]
+            check_number(name, value, integral, low, strict=not integral)
 
 
 @dataclass

@@ -60,8 +60,7 @@ def top_k_magnitude(v: np.ndarray, k: int) -> np.ndarray:
     Zero entries never qualify: with fewer than k nonzeros, all nonzero
     indices are returned.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    check_number("k", k, integral=True, low=0)
     v = np.asarray(v, dtype=np.float64)
     if k == 0:
         return np.empty(0, dtype=np.intp)
@@ -242,14 +241,6 @@ def draw_signs(out: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _check_shape(m, n) -> tuple[int, int]:  # m and n as ints, each an integer >= 1
-    check_number("m", m, integral=True)
-    check_number("n", n, integral=True)
-    if m <= 0 or n <= 0:
-        raise ConfigurationError(f"need m, n >= 1, got m={m}, n={n}")
-    return int(m), int(n)
-
-
 def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsemble:
     """m x n Rademacher ensemble whose stored ``cols`` are ``draw_signs(cols.ravel(), rng)``.
 
@@ -257,7 +248,9 @@ def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsem
     signs are drawn in storage order, in word-aligned chunks, straight into
     the float32 store, whose 4 * m * n bytes must first pass ``check_fits``.
     """
-    m, n = _check_shape(m, n)
+    check_number("m", m, integral=True, low=1)
+    check_number("n", n, integral=True, low=1)
+    m, n = int(m), int(n)
     check_fits(4 * m * n, f"an m={m} x n={n} Rademacher store")
     cols = np.empty((n, m), dtype=np.float32)
     flat = cols.reshape(-1)
@@ -269,7 +262,9 @@ def make_rademacher(m: int, n: int, rng: np.random.Generator) -> RademacherEnsem
 def make_partial_circulant(m: int, n: int, rng: np.random.Generator) -> PartialCirculantEnsemble:
     """Partial circulant ensemble of generator ``draw_signs(np.empty(n, np.float32), rng)``
     and m distinct rows that ``rng`` chooses next."""
-    m, n = _check_shape(m, n)
+    check_number("m", m, integral=True, low=1)
+    check_number("n", n, integral=True, low=1)
+    m, n = int(m), int(n)
     if m > n:
         raise ConfigurationError(f"circulant row count m={m} cannot exceed n={n}")
     z = draw_signs(np.empty(n, dtype=np.float32), rng)
@@ -285,13 +280,11 @@ def required_rows(s: int, n: int, b1: float = 2.0) -> int:
     such a block costs as many queries as finite differences on every
     coordinate.
     """
-    check_number("s", s, integral=True)
-    check_number("n", n, integral=True)
-    check_number("b1", b1)
-    if s < 1 or s > n:
+    check_number("s", s, integral=True, low=1)
+    check_number("n", n, integral=True, low=1)
+    check_number("b1", b1, low=0, strict=True)
+    if s > n:
         raise ConfigurationError(f"need 1 <= s <= n, got s={s}, n={n}")
-    if not 0 < b1 < math.inf:
-        raise ConfigurationError(f"b1 must be finite and > 0, got {b1}")
     # Compared with n as a float: for a huge b1 the product is inf, which
     # has no ceiling, and clamps like any other product above n.
     rows = b1 * s * math.log(n)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from zobcd.core import ConfigurationError, NumericalFailure
+from zobcd.core import ConfigurationError, NumericalFailure, check_number
 from zobcd.sampling import MeasurementOperator, top_k_magnitude
 
 # A Cholesky pivot of the normal matrix below this fraction of the largest
@@ -73,7 +73,7 @@ class SparseVector:
         return self.indices.size
 
 
-def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Least-squares fit of y, which must have mean zero as ``cosamp`` passes
     it, on the centred columns P A, P = I - 1 1^T / m, of the gathered A.
 
@@ -84,11 +84,10 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.n
     With more columns than rows, or numerically dependent columns, it returns
     ``lstsq``'s minimum-norm solution on P A instead.
 
-    ``gram``, when given, is (G, c), as ``MeasurementOperator.columns``
-    returns it with the signs A; otherwise both are formed from A. On +-1
-    columns both are integers, exact in float64, so the two give the same
-    fit bit for bit, and the numerator m G - c c^T is exact while m < 2**26:
-    only the division by m rounds.
+    ``gram`` is (G, c), as ``MeasurementOperator.columns`` returns it with
+    the signs A. On +-1 columns both are integers, exact in float64, so the
+    numerator m G - c c^T is exact while m < 2**26: only the division by m
+    rounds.
     """
     m, k = A.shape
     if k == 0:
@@ -96,9 +95,6 @@ def restricted_lsq(A: np.ndarray, y: np.ndarray, *, gram: tuple[np.ndarray, np.n
     if k > m:
         warnings.warn(f"restricted least squares with |support|={k} > m={m} is underdetermined", stacklevel=2)
     else:
-        if gram is None:
-            # the column sums by a gemv: half the time of A.sum(axis=0)
-            gram = A.T @ A, A.T @ np.ones(m)
         G, c = gram
         normal = m * G
         normal -= np.outer(c, c)
@@ -153,7 +149,8 @@ def cosamp(Z: MeasurementOperator, y: np.ndarray, s: int, on_iterate=None) -> Sp
     n = Z.n
     if y.shape != (Z.m,):
         raise ValueError(f"expected {Z.m} measurements, got {y.shape}")
-    if not 1 <= s <= n:
+    check_number("sparsity target", s, integral=True, low=1)
+    if s > n:
         raise ConfigurationError(f"need 1 <= s <= n for the sparsity target, got s={s}, n={n}")
 
     y = y - y.mean()

@@ -3,6 +3,7 @@ import math
 import time
 import tracemalloc
 from collections.abc import Sequence
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zobcd import core
+from zobcd.baselines import BaselineConfig
+from zobcd.blocks import random_partition
 from zobcd.core import (
     ConfigurationError,
     ConvergenceTrace,
@@ -19,10 +22,15 @@ from zobcd.core import (
     RngStreams,
     TraceRecord,
     check_fits,
+    check_number,
     make_noisy_oracle,
 )
-from zobcd.objectives import MaxSSumSquared, SparseQuadric
-from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher
+from zobcd.estimator import estimate_block_gradient, theoretical_radius
+from zobcd.harness import ExperimentSpec
+from zobcd.objectives import OBJECTIVES, MaxSSumSquared, SparseQuadric, make_objective
+from zobcd.optimizer import ZobcdConfig
+from zobcd.sampling import RademacherEnsemble, make_partial_circulant, make_rademacher, required_rows
+from zobcd.sparse_recovery import cosamp, top_k_magnitude
 
 NOISES = [NoiseModel.none(), NoiseModel.bounded(0.1), NoiseModel.gaussian(1e-2)]
 
@@ -52,6 +60,103 @@ def test_rademacher_store_beyond_memory_is_rejected_before_any_draw():
         with pytest.raises(ConfigurationError, match=r"^an m=257 x n=1024 Rademacher store needs 1,052,672 bytes"):
             make_rademacher(257, 1024, gen)
     assert gen.bit_generator.state == state
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("J", 0, True, 1), "J must be an integer >= 1, got 0"),
+        (("delta", 0.0, False, 0, True), "delta must be a finite number > 0, got 0.0"),
+        (("seed", True, True), "seed must be an integer, got True"),
+        (("target", 10**400), "target must be a finite number, got 1000"),  # too large for a float
+    ],
+)
+def test_check_number_states_the_whole_rule(args, message):
+    with pytest.raises(ConfigurationError, match=f"^{message}"):
+        check_number(*args)
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+def _estimate(delta, s):
+    Z = make_rademacher(8, 16, _rng())
+    oracle = make_noisy_oracle(lambda x: float(x @ x), NoiseModel.none(), RngStreams(0))
+    return estimate_block_gradient(oracle, np.ones(16), random_partition(16, 1, _rng()), 0, Z, delta, s)
+
+
+def _spec(d, s, repeats, seed):
+    objective = {"name": "sparse-quadric", "d": d, "s": s}
+    return ExperimentSpec(objective, "fdsa", dict(alpha=0.1, delta=1e-3, budget=10), repeats=repeats, seed=seed)
+
+
+# (integral, low, strict) of an argument, as check_number takes them
+INT1 = (True, 1, False)
+INT0 = (True, 0, False)
+POSITIVE = (False, 0, True)
+NON_NEGATIVE = (False, 0, False)
+ANY_REAL = (False, None, False)
+SIZES = dict(d=(100, INT1), s=(5, INT1))
+# Every library entry point that takes a caller-given number: a call taking
+# the numeric arguments by name, and per argument a valid value and its rule.
+ENTRY_POINTS = {
+    "random_partition": (lambda d, J: random_partition(d, J, _rng()), dict(d=(10, INT1), J=(2, INT1))),
+    "estimate_block_gradient": (_estimate, dict(delta=(1e-2, POSITIVE), s=(2, INT1))),
+    "cosamp": (lambda s: cosamp(make_rademacher(8, 16, _rng()), np.arange(8.0), s), dict(s=(2, INT1))),
+    "top_k_magnitude": (lambda k: top_k_magnitude(np.arange(5.0), k), dict(k=(2, INT0))),
+    "theoretical_radius": (theoretical_radius, dict(sigma=(1e-3, NON_NEGATIVE), H=(1.0, POSITIVE))),
+    "MaxSSumSquared": (MaxSSumSquared, SIZES),
+    "SparseQuadric.random": (lambda d, s: SparseQuadric.random(d, s, _rng()), SIZES),
+    **{
+        f"make_objective {name}": (lambda d, s, name=name: make_objective(name, d, s, _rng()), SIZES)
+        for name in OBJECTIVES
+    },
+    "ZobcdConfig": (partial(ZobcdConfig, "R"), dict(
+        d=(100, INT1), J=(2, INT1), s=(5, INT1), alpha=(0.5, POSITIVE), delta=(1e-2, POSITIVE), budget=(1000, INT1),
+        seed=(3, INT0), b1=(2.0, POSITIVE), target=(1e-3, ANY_REAL), reshuffle_period=(4, INT1),
+        max_iters=(10, INT0), m_override=(8, INT1), block_sparsity_factor=(1.1, POSITIVE),
+    )),
+    "BaselineConfig": (partial(BaselineConfig, "spsa"), dict(
+        alpha=(0.5, POSITIVE), delta=(1e-2, POSITIVE), budget=(1000, INT1), seed=(3, INT0), target=(1e-3, ANY_REAL),
+        max_iters=(10, INT0),
+    )),
+    "ExperimentSpec": (_spec, dict(d=(100, INT1), s=(5, INT1), repeats=(2, INT1), seed=(3, INT0))),
+    "RngStreams": (RngStreams, dict(master_seed=(3, INT0))),
+    **{
+        f"NoiseModel {kind}": (partial(NoiseModel, kind), dict(level=(1e-6, NON_NEGATIVE)))
+        for kind in ("bounded", "gaussian")
+    },
+    "make_rademacher": (lambda m, n: make_rademacher(m, n, _rng()), dict(m=(4, INT1), n=(8, INT1))),
+    "make_partial_circulant": (lambda m, n: make_partial_circulant(m, n, _rng()), dict(m=(4, INT1), n=(8, INT1))),
+    "required_rows": (required_rows, dict(s=(2, INT1), n=(64, INT1), b1=(2.0, POSITIVE))),
+}
+TAKES_NONE = {"H", "target", "reshuffle_period", "max_iters", "m_override"}  # None is a valid value of these
+
+
+def _bad_values(rule, takes_none):
+    integral, low, strict = rule
+    bad = [True, False, "1", float("nan"), float("inf"), float("-inf"), 2.5 if integral else 10**400]
+    if not takes_none:
+        bad.append(None)
+    if low is not None:  # below the bound, or at it when strict
+        bad.append(low - 1 if integral else low if strict else low - 0.5)
+    return bad
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_number_rule_holds_at_every_entry_point(data):
+    # Any one numeric argument malformed is a ConfigurationError, never a
+    # TypeError or a bare numpy error; numpy scalars of a valid value pass.
+    call, args = ENTRY_POINTS[data.draw(st.sampled_from(sorted(ENTRY_POINTS)), label="entry point")]
+    valid = {arg: value for arg, (value, _) in args.items()}
+    arg = data.draw(st.sampled_from(sorted(args)), label="argument")
+    value, rule = args[arg]
+    call(**dict(valid, **{arg: (np.int64 if rule[0] else np.float32)(value)}))
+    bad = data.draw(st.sampled_from(_bad_values(rule, arg in TAKES_NONE)), label="value")
+    with pytest.raises(ConfigurationError):
+        call(**dict(valid, **{arg: bad}))
 
 
 def test_noiseless_oracle_identity():
